@@ -171,8 +171,7 @@ def representation_residual(f: TorsionField, spec: SupportSpec,
     return abs(f.tau_energy - rep) / f.tau_energy
 
 
-def tau_refined(p: Polygon, target_h: float, graded: bool = True,
-                opts: SolverOptions | None = None):
+def tau_refined(p: Polygon, target_h: float, opts: SolverOptions | None = None):
     """Richardson-extrapolated rigidity from one uniform refinement.
 
     Returns (tau_extrapolated, coarse field, fine field).  The energy
@@ -181,7 +180,7 @@ def tau_refined(p: Polygon, target_h: float, graded: bool = True,
     Hadamard probe needs that accuracy because it divides tau
     differences by small step sizes.
     """
-    mesh = triangulate(p, target_h, graded=graded)
+    mesh = triangulate(p, target_h)
     f1 = solve_torsion(mesh, opts)
     f2 = solve_torsion(refine(mesh), opts)
     tau = (4.0 * f2.tau_energy - f1.tau_energy) / 3.0

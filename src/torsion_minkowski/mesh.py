@@ -1,12 +1,14 @@
 """Conforming triangulations of convex polygons.
 
-The generator samples each polygon facet at a fixed spacing (half the
-interior target by default, since boundary-flux accuracy drives the
-downstream pipeline), fills the interior with a hexagonal lattice
-anchored at the bounding-box corner, and Delaunay-triangulates the point
-set with a few Laplacian smoothing sweeps.  Anchoring the lattice at the
-bounding box makes meshing equivariant under translations and dilations,
-which the homogeneity and gauge-invariance checks rely on.
+The generator samples each polygon facet at half the interior target
+spacing (boundary-flux accuracy drives the downstream pipeline), fills the
+interior with a hexagonal lattice anchored at the bounding-box corner,
+relaxes the band of nodes near the boundary with a few Laplacian sweeps,
+and Delaunay-triangulates the whole point set once.  The interior lattice
+is already equilateral, so each sweep triangulates only the boundary band.
+Anchoring the lattice at the bounding box makes meshing equivariant under
+translations and dilations, which the homogeneity and gauge-invariance
+checks rely on.
 
 Every boundary edge is attributed to the polygon facet it lies on, so
 boundary integrals can be assembled facet by facet.
@@ -23,6 +25,7 @@ from .errors import InvariantViolation, MeshTooFine, PointOutside
 from .support_geometry import Polygon, metrics
 
 DEFAULT_NODE_CAP = 2_000_000
+SMOOTH_SWEEPS = 4
 
 
 @dataclass
@@ -169,29 +172,35 @@ def _hex_lattice(p: Polygon, h: float, margin: float) -> np.ndarray:
     return pts[keep]
 
 
-def _smooth(points: np.ndarray, n_fixed: int, iterations: int, polygon: Polygon,
-            min_margin: float) -> tuple[np.ndarray, Delaunay]:
-    """Laplacian smoothing of the free nodes with the first n_fixed pinned."""
+def _smooth(points: np.ndarray, n_fixed: int, h_lat: float, polygon: Polygon,
+            min_margin: float) -> np.ndarray:
+    """Laplacian sweeps over the boundary band, with the first n_fixed pinned.
+
+    A lattice node with all six lattice neighbours sits at their mean, so
+    only nodes within about 1.5 h_lat of the boundary start off balance,
+    and each sweep spreads motion at most one ring (h_lat) deeper.  Nodes
+    deeper than (sweeps + 1.5) h_lat thus never move, and each sweep
+    triangulates only the band at depth <= (sweeps + 3) h_lat: the Delaunay
+    neighbours of a movable node lie under 1.5 h_lat deeper than it, so its
+    star lies in the band, stays Delaunay there and is its full star.  The
+    long triangles the band's Delaunay puts across the hole touch only
+    pinned nodes.
+    """
     pts = points.copy()
-    tri = Delaunay(pts)
-    for _ in range(iterations):
-        indptr, indices = tri.vertex_neighbor_vertices
+    depth = polygon.distance_to_boundary(pts)
+    band = np.flatnonzero(depth <= (SMOOTH_SWEEPS + 3) * h_lat)
+    movable = (band >= n_fixed) & (depth[band] <= (SMOOTH_SWEEPS + 1.5) * h_lat)
+    for _ in range(SMOOTH_SWEEPS):
+        sub = pts[band]
+        indptr, indices = Delaunay(sub).vertex_neighbor_vertices
         counts = np.maximum(np.diff(indptr), 1)
-        sums = np.add.reduceat(pts[indices], indptr[:-1], axis=0)
-        means = sums / counts[:, None]
-        moved = pts.copy()
-        free = np.zeros(len(pts), dtype=bool)
-        free[n_fixed:] = True
-        ok = polygon.distance_to_boundary(means) >= min_margin
-        upd = free & ok
-        moved[upd] = means[upd]
-        pts = moved
-        tri = Delaunay(pts)
-    return pts, tri
+        means = np.add.reduceat(sub[indices], indptr[:-1], axis=0) / counts[:, None]
+        upd = movable & (polygon.distance_to_boundary(means) >= min_margin)
+        pts[band[upd]] = means[upd]
+    return pts
 
 
-def triangulate(p: Polygon, target_h: float, graded: bool = True,
-                node_cap: int = DEFAULT_NODE_CAP, smooth_iters: int = 4) -> TriMesh:
+def triangulate(p: Polygon, target_h: float, node_cap: int = DEFAULT_NODE_CAP) -> TriMesh:
     """Triangulate a convex polygon at the requested resolution.
 
     Parameters
@@ -199,9 +208,7 @@ def triangulate(p: Polygon, target_h: float, graded: bool = True,
     p : Polygon
         Domain; must satisfy 0 < target_h < inradius.
     target_h : float
-        Interior spacing target.  Boundary spacing is target_h / 2 when
-        ``graded`` (the default, best for boundary-flux work), target_h
-        otherwise.
+        Interior spacing target.  Boundary spacing is target_h / 2.
     node_cap : int
         Hard cap on the node count; exceeding it raises MeshTooFine.
     """
@@ -211,17 +218,16 @@ def triangulate(p: Polygon, target_h: float, graded: bool = True,
     if target_h >= inradius:
         raise InvariantViolation(
             f"target_h={target_h:g} must be below the inradius {inradius:g}")
-    spacing = target_h / 2.0 if graded else target_h
+    spacing = target_h / 2.0
     bpts, bfacets = _boundary_samples(p, spacing)
     h_lat = 0.85 * target_h
     interior = _hex_lattice(p, h_lat, margin=0.5 * h_lat)
     n_total = len(bpts) + len(interior)
     if n_total > node_cap:
         raise MeshTooFine(f"mesh would need {n_total} nodes (cap {node_cap})")
-    points = np.vstack([bpts, interior])
-    points, tri = _smooth(points, len(bpts), smooth_iters, p,
-                          min_margin=0.4 * spacing)
-    triangles = _orient(points, tri.simplices)
+    points = _smooth(np.vstack([bpts, interior]), len(bpts), h_lat, p,
+                     min_margin=0.4 * spacing)
+    triangles = _orient(points, Delaunay(points).simplices)
     nb = len(bpts)
     edges = np.column_stack([np.arange(nb), (np.arange(nb) + 1) % nb])
     lengths = np.hypot(*(points[edges[:, 1]] - points[edges[:, 0]]).T)
@@ -238,23 +244,25 @@ def _orient(nodes: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     return tris
 
 
+def _edge_key(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Integer key min*n + max of each undirected edge of an n-node mesh."""
+    return np.minimum(i, j).astype(np.int64) * n + np.maximum(i, j)
+
+
 def _edge_counts(mesh: TriMesh):
+    """Sorted edge keys of the triangulation and each edge's triangle count."""
     t = mesh.triangles
-    edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return uniq, counts
+    keys = _edge_key(t, np.roll(t, -1, axis=1), mesh.n_nodes)
+    return np.unique(keys, return_counts=True)
 
 
 def _assert_conforming(mesh: TriMesh) -> None:
-    uniq, counts = _edge_counts(mesh)
+    keys, counts = _edge_counts(mesh)
     if counts.max() > 2:
         raise InvariantViolation("non-manifold edge in triangulation")
-    boundary = uniq[counts == 1]
-    expected = np.sort(mesh.boundary_edges, axis=1)
-    expected = expected[np.lexsort((expected[:, 1], expected[:, 0]))]
-    got = boundary[np.lexsort((boundary[:, 1], boundary[:, 0]))]
-    if expected.shape != got.shape or not np.array_equal(expected, got):
+    b = mesh.boundary_edges
+    expected = np.sort(_edge_key(b[:, 0], b[:, 1], mesh.n_nodes))
+    if not np.array_equal(keys[counts == 1], expected):
         raise InvariantViolation("triangulation boundary does not match the facet walk")
 
 
@@ -262,36 +270,27 @@ def refine(m: TriMesh, node_cap: int = DEFAULT_NODE_CAP) -> TriMesh:
     """Uniform refinement: each triangle splits into 4 via edge midpoints.
 
     Child triangles are similar to their parent, so angle quality is
-    preserved exactly; boundary facet attribution is inherited.
+    preserved exactly; boundary facet attribution is inherited.  The
+    midpoint of the k-th edge in key order becomes node n_nodes + k.
     """
-    uniq, _ = _edge_counts(m)
-    n_new = m.n_nodes + len(uniq)
-    if n_new > node_cap:
-        raise MeshTooFine(f"refinement would need {n_new} nodes (cap {node_cap})")
-    midpoint_of = {}
-    mids = np.empty((len(uniq), 2))
-    for k, (i, j) in enumerate(uniq):
-        midpoint_of[(i, j)] = m.n_nodes + k
-        mids[k] = 0.5 * (m.nodes[i] + m.nodes[j])
-    nodes = np.vstack([m.nodes, mids])
+    keys, _ = _edge_counts(m)
+    n = m.n_nodes
+    if n + len(keys) > node_cap:
+        raise MeshTooFine(f"refinement would need {n + len(keys)} nodes (cap {node_cap})")
+    nodes = np.vstack([m.nodes, 0.5 * (m.nodes[keys // n] + m.nodes[keys % n])])
 
     def mid(i, j):
-        return midpoint_of[(i, j) if i < j else (j, i)]
+        return n + np.searchsorted(keys, _edge_key(i, j, n))
 
-    tris = []
-    for a, b, c in m.triangles:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-    triangles = np.array(tris, dtype=int)
-
-    b_edges, b_facets = [], []
-    for (i, j), f in zip(m.boundary_edges, m.boundary_facets):
-        k = mid(i, j)
-        b_edges.extend([(i, k), (k, j)])
-        b_facets.extend([f, f])
-    b_edges = np.array(b_edges, dtype=int)
+    a, b, c = m.triangles.T
+    ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+    triangles = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+    i, j = m.boundary_edges.T
+    k = mid(i, j)
+    b_edges = np.stack([i, k, k, j], axis=1).reshape(-1, 2)
     lengths = np.hypot(*(nodes[b_edges[:, 1]] - nodes[b_edges[:, 0]]).T)
-    out = TriMesh(nodes, triangles, b_edges, np.array(b_facets, dtype=int),
+    out = TriMesh(nodes, triangles, b_edges, np.repeat(m.boundary_facets, 2),
                   lengths, m.target_h / 2.0, m.polygon)
     _assert_conforming(out)
     return out

@@ -248,7 +248,8 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
         gnorm = float(np.linalg.norm(ev.grad_J))
         gtol = opts.tol * ev.tau ** (-0.25) * float(np.linalg.norm(c))
         at_fine = stage_scale == 1.0
-        if (ev.residual <= opts.tol or gnorm <= gtol) and at_fine:
+        # Stop on the l1 residual the report is judged by, not an l2 gradient test.
+        if at_fine and ev.residual <= opts.tol:
             converged = True
             break
         if not at_fine and (ev.residual <= coarse_gate or gnorm <= 3.0 * gtol):

@@ -148,10 +148,10 @@ def solve_torsion(mesh: TriMesh, opts: SolverOptions | None = None) -> TorsionFi
     return TorsionField(mesh, u, tau_energy, tau_mass, gap, K, b)
 
 
-def solve_on_polygon(p: Polygon, target_h: float, graded: bool = True,
+def solve_on_polygon(p: Polygon, target_h: float,
                      opts: SolverOptions | None = None) -> TorsionField:
     """Convenience wrapper: mesh the polygon, then solve."""
-    mesh = triangulate(p, target_h, graded=graded)
+    mesh = triangulate(p, target_h)
     if opts is None:
         opts = SolverOptions(target_h=target_h)
     return solve_torsion(mesh, opts)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from torsion_minkowski import (
     InvariantViolation,
@@ -12,6 +13,8 @@ from torsion_minkowski import (
     regular_polygon,
     triangulate,
 )
+from torsion_minkowski import mesh as mesh_module
+from torsion_minkowski.support_geometry import Polygon
 from torsion_minkowski.verify_suite import polygon_corpus
 
 
@@ -100,3 +103,80 @@ def test_mesh_dump_schema(square_mesh):
     assert set(d) == {"nodes", "triangles", "boundary"}
     assert len(d["boundary"][0]) == 3
     assert len(d["nodes"]) == square_mesh.n_nodes
+
+
+def _turned(p, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return Polygon.from_vertices(p.vertices @ np.array([[c, s], [-s, c]]))
+
+
+def _reference_nodes(p, target_h):
+    """Node set of the full-Delaunay smoother that band smoothing replaced:
+    every sweep re-triangulates all points and may move every free node."""
+    spacing = target_h / 2.0
+    h_lat = 0.85 * target_h
+    bpts, _ = mesh_module._boundary_samples(p, spacing)
+    pts = np.vstack([bpts, mesh_module._hex_lattice(p, h_lat, margin=0.5 * h_lat)])
+    for _ in range(mesh_module.SMOOTH_SWEEPS):
+        indptr, indices = Delaunay(pts).vertex_neighbor_vertices
+        counts = np.maximum(np.diff(indptr), 1)
+        means = np.add.reduceat(pts[indices], indptr[:-1], axis=0) / counts[:, None]
+        upd = p.distance_to_boundary(means) >= 0.4 * spacing
+        upd[:len(bpts)] = False
+        pts = np.where(upd[:, None], means, pts)
+    return pts
+
+
+def _triangle_set(triangles):
+    return np.unique(np.sort(triangles, axis=1), axis=0)
+
+
+@pytest.mark.parametrize("rel", [0.01, 0.02, 0.04])
+def test_band_smoothing_matches_full_delaunay_smoothing(rel):
+    rng = np.random.default_rng(3)
+    for p in polygon_corpus(seed=42, count=3):
+        p = _turned(p, rng.uniform(0.0, 2.0 * np.pi))
+        h = rel * metrics(p).circumradius
+        m = triangulate(p, h)
+        ref = _reference_nodes(p, h)
+        assert np.abs(m.nodes - ref).max() <= 1e-12 * h
+        ref_tris = Delaunay(ref).simplices
+        assert np.array_equal(_triangle_set(m.triangles), _triangle_set(ref_tris))
+
+
+def test_triangulate_runs_one_full_delaunay(monkeypatch):
+    sizes = []
+
+    def counting_delaunay(points):
+        sizes.append(len(points))
+        return Delaunay(points)
+
+    monkeypatch.setattr(mesh_module, "Delaunay", counting_delaunay)
+    m = triangulate(regular_polygon(64), 0.02)
+    assert sizes.count(m.n_nodes) == 1
+    assert len(sizes) == mesh_module.SMOOTH_SWEEPS + 1
+    assert max(sizes[:-1]) < m.n_nodes
+
+
+def test_refine_matches_midpoint_dictionary(hexagon):
+    m = triangulate(hexagon, 0.2)
+    fine = refine(m)
+    uniq = np.unique(np.sort(np.vstack([m.triangles[:, [0, 1]], m.triangles[:, [1, 2]],
+                                        m.triangles[:, [2, 0]]]), axis=1), axis=0)
+    mid = {(int(i), int(j)): m.n_nodes + k for k, (i, j) in enumerate(uniq)}
+
+    def at(i, j):
+        return mid[(min(i, j), max(i, j))]
+
+    tris = []
+    for a, b, c in m.triangles:
+        ab, bc, ca = at(a, b), at(b, c), at(c, a)
+        tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    assert np.array_equal(fine.triangles, np.array(tris))
+    assert np.array_equal(fine.nodes[m.n_nodes:],
+                          0.5 * (m.nodes[uniq[:, 0]] + m.nodes[uniq[:, 1]]))
+    b_edges = []
+    for i, j in m.boundary_edges:
+        b_edges += [(i, at(i, j)), (at(i, j), j)]
+    assert np.array_equal(fine.boundary_edges, np.array(b_edges))
+    assert np.array_equal(fine.boundary_facets, np.repeat(m.boundary_facets, 2))
