@@ -10,9 +10,10 @@ solve     read a target-measure spec, run the inverse solver, write the
 verify    run the seeded verification corpus and write the summary
 hadamard  finite-difference check of the derivative formula for two bodies
 
+Each subcommand takes only the flags it reads (``SUBCOMMAND_FLAGS``).
 Mesh resolutions on the command line are relative to each body's
-circumradius.  Exit status: 0 success, 1 validation error, 2 numerical
-failure, 3 non-convergence (partial report still written).
+circumradius.  Exit status: 0 success, 1 validation or usage error,
+2 numerical failure, 3 non-convergence (partial report still written).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import (
     ParseError,
     TorsionMinkowskiError,
 )
-from .mesh import triangulate
 from .minkowski_solver import (
     SolveOptions,
     SolveReport,
@@ -39,15 +39,8 @@ from .minkowski_solver import (
     project_balance,
     solve_minkowski,
 )
-from .support_geometry import (
-    Polygon,
-    angles_to_normals,
-    metrics,
-    polygon_from_dict,
-    polygon_to_dict,
-    support_spec_of,
-)
-from .torsion_fem import SolverOptions, solve_torsion
+from .support_geometry import Polygon, angles_to_normals, metrics, support_spec_of
+from .torsion_fem import solve_on_polygon
 from .verify_suite import run_verify_corpus
 
 EXIT_OK = 0
@@ -56,6 +49,26 @@ EXIT_NUMERICAL = 2
 EXIT_NO_CONVERGENCE = 3
 
 LOG_COLUMNS = ("iter", "J", "residual", "tau", "inradius", "circumradius", "step")
+
+# Defaults live in RunConfig.
+FLAGS = {
+    "--input": {"dest": "input_path", "metavar": "FILE", "required": True,
+                "help": "input JSON file"},
+    "--output": {"dest": "output_path", "metavar": "FILE",
+                 "help": "output JSON file (stdout if absent)"},
+    "--mesh-h": {"type": float, "help": "mesh spacing relative to the circumradius"},
+    "--tol": {"type": float, "help": "l1 measure residual to stop at"},
+    "--max-iters": {"type": int, "help": "descent iteration cap"},
+    "--seed": {"type": int, "help": "corpus seed"},
+    "--log": {"dest": "log_path", "metavar": "FILE", "help": "CSV log file"},
+}
+SUBCOMMAND_FLAGS = {
+    "torsion": ("--input", "--output", "--mesh-h"),
+    "measure": ("--input", "--output", "--mesh-h"),
+    "solve": ("--input", "--output", "--mesh-h", "--tol", "--max-iters", "--log"),
+    "verify": ("--output", "--mesh-h", "--seed", "--log"),
+    "hadamard": ("--input", "--output", "--mesh-h"),
+}
 
 
 @dataclass
@@ -70,11 +83,11 @@ class RunConfig:
     log_path: str | None = None
 
     def __post_init__(self):
-        if self.subcommand not in {"torsion", "measure", "solve", "verify", "hadamard"}:
+        if self.subcommand not in SUBCOMMAND_FLAGS:
             raise InvariantViolation(f"unknown subcommand {self.subcommand!r}")
         if self.subcommand != "verify" and not self.input_path:
             raise InvariantViolation(f"subcommand {self.subcommand!r} needs --input")
-        if self.mesh_h <= 0 or self.tol <= 0 or self.max_iters <= 0:
+        if not (self.mesh_h > 0 and self.tol > 0 and self.max_iters > 0):  # NaN fails too
             raise InvariantViolation("numeric options must be positive")
 
 
@@ -98,6 +111,10 @@ def _as_float_array(values, path: str, field_name: str) -> np.ndarray:
         raise ParseError(f"{path}: field '{field_name}' must be numeric") from exc
 
 
+def _parse_polygon(vertices, path: str, field_name: str) -> Polygon:
+    return Polygon.from_vertices(_as_float_array(vertices, path, field_name))
+
+
 def parse_spec(path: str):
     """Read a problem spec: a polygon or a target measure.
 
@@ -108,8 +125,7 @@ def parse_spec(path: str):
     """
     data = _load_json(path)
     if "vertices" in data:
-        verts = _as_float_array(data["vertices"], path, "vertices")
-        return polygon_from_dict({"vertices": verts})
+        return _parse_polygon(data["vertices"], path, "vertices")
     if "weights" not in data:
         raise ParseError(f"{path}: expected a 'vertices' or 'weights' field")
     weights = _as_float_array(data["weights"], path, "weights")
@@ -153,13 +169,19 @@ def _write_log(report: SolveReport, path: str) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-def _cmd_torsion(config: RunConfig) -> int:
+def _solve_input_polygon(config: RunConfig):
+    """Parse the input polygon and solve its torsion problem at the
+    configured relative spacing; returns (metrics, field)."""
     body = parse_spec(config.input_path)
     if not isinstance(body, Polygon):
-        raise InvariantViolation("'torsion' expects a polygon input")
+        raise InvariantViolation(f"'{config.subcommand}' expects a polygon input")
     m = metrics(body)
-    mesh = triangulate(body, config.mesh_h * m.circumradius)
-    field = solve_torsion(mesh, SolverOptions(target_h=mesh.target_h))
+    return m, solve_on_polygon(body, config.mesh_h * m.circumradius)
+
+
+def _cmd_torsion(config: RunConfig) -> int:
+    m, field = _solve_input_polygon(config)
+    mesh = field.mesh
     _write_json({
         "tau_energy": field.tau_energy,
         "tau_mass": field.tau_mass,
@@ -178,12 +200,7 @@ def _cmd_torsion(config: RunConfig) -> int:
 
 
 def _cmd_measure(config: RunConfig) -> int:
-    body = parse_spec(config.input_path)
-    if not isinstance(body, Polygon):
-        raise InvariantViolation("'measure' expects a polygon input")
-    m = metrics(body)
-    mesh = triangulate(body, config.mesh_h * m.circumradius)
-    field = solve_torsion(mesh, SolverOptions(target_h=mesh.target_h))
+    _, field = _solve_input_polygon(config)
     mu = bm.facet_measure(field)
     payload = mu.to_dict()
     payload["total_mass"] = mu.total_mass
@@ -202,7 +219,6 @@ def _cmd_solve(config: RunConfig) -> int:
             mesh_h=float(file_opts.get("mesh_h", config.mesh_h)),
             tol=float(file_opts.get("tol", config.tol)),
             max_iters=int(file_opts.get("max_iters", config.max_iters)),
-            rng_seed=int(file_opts.get("seed", config.seed)),
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{config.input_path}: malformed 'options': {exc}") from exc
@@ -247,8 +263,7 @@ def _cmd_hadamard(config: RunConfig) -> int:
         obj = data[key]
         if not isinstance(obj, dict) or "vertices" not in obj:
             raise ParseError(f"{config.input_path}: '{key}' must be a polygon object")
-        verts = _as_float_array(obj["vertices"], config.input_path, f"{key}.vertices")
-        bodies[key] = polygon_from_dict({"vertices": verts})
+        bodies[key] = _parse_polygon(obj["vertices"], config.input_path, f"{key}.vertices")
     body, body_prime = bodies["body"], bodies["body_prime"]
     s_values = _as_float_array(data.get("s_values", [0.02, 0.01, 0.005]),
                                config.input_path, "s_values")
@@ -291,29 +306,17 @@ def main(argv=None) -> int:
         prog="torsion-minkowski",
         description="Planar Minkowski problem for torsional rigidity.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, needs_input in (("torsion", True), ("measure", True), ("solve", True),
-                              ("verify", False), ("hadamard", True)):
-        sp = sub.add_parser(name)
-        sp.add_argument("--input", required=needs_input)
-        sp.add_argument("--output")
-        sp.add_argument("--mesh-h", type=float, default=0.02,
-                        help="mesh spacing relative to the circumradius")
-        sp.add_argument("--tol", type=float, default=1e-2)
-        sp.add_argument("--max-iters", type=int, default=120)
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--log")
-    ns = parser.parse_args(argv)
+    for name, flags in SUBCOMMAND_FLAGS.items():
+        # flags left off the command line stay out of the namespace
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
     try:
-        config = RunConfig(
-            subcommand=ns.subcommand,
-            input_path=ns.input,
-            output_path=ns.output,
-            mesh_h=ns.mesh_h,
-            tol=ns.tol,
-            max_iters=ns.max_iters,
-            seed=ns.seed,
-            log_path=ns.log,
-        )
+        ns = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
+    try:
+        config = RunConfig(**vars(ns))
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

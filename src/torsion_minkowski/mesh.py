@@ -26,6 +26,7 @@ from .support_geometry import Polygon, metrics
 
 DEFAULT_NODE_CAP = 2_000_000
 SMOOTH_SWEEPS = 4
+MIN_ANGLE_DEG = 20.0  # smallest triangle angle check_mesh accepts
 
 
 @dataclass
@@ -309,7 +310,7 @@ class MeshCheckReport:
     ok: bool
 
 
-def check_mesh(m: TriMesh, min_angle_deg: float = 20.0) -> MeshCheckReport:
+def check_mesh(m: TriMesh) -> MeshCheckReport:
     """Run the full mesh invariant battery and report the worst offenders."""
     try:
         _assert_conforming(m)
@@ -344,19 +345,9 @@ def check_mesh(m: TriMesh, min_angle_deg: float = 20.0) -> MeshCheckReport:
         max_boundary_edge_over_h=float(m.boundary_edge_lengths.max() / m.target_h),
         area_error=area_err,
         ok=(conforming and oriented and boundary_ok
-            and min_angle >= min_angle_deg
+            and min_angle >= MIN_ANGLE_DEG
             and max_edge <= 1.5 * m.target_h
             and m.boundary_edge_lengths.max() <= m.target_h
             and area_err <= 1e-10),
     )
     return report
-
-
-def mesh_to_dict(m: TriMesh) -> dict:
-    """JSON-ready dump used by the CLI's optional mesh output."""
-    return {
-        "nodes": m.nodes.tolist(),
-        "triangles": m.triangles.tolist(),
-        "boundary": [[int(i), int(j), int(f)]
-                     for (i, j), f in zip(m.boundary_edges, m.boundary_facets)],
-    }

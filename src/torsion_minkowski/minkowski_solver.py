@@ -39,12 +39,16 @@ from .support_geometry import (
     Polygon,
     SupportSpec,
     build_polytope,
+    hausdorff_distance,
     metrics,
+    polygon_to_dict,
     steiner_point,
 )
-from .torsion_fem import SolverOptions, solve_torsion
+from .torsion_fem import solve_torsion
 
 BOUNDS_SLACK = 50.0  # iterates may drift this far from the first iterate's scale
+COARSE_MESH_FACTOR = 2.0  # the coarse stage meshes at this multiple of mesh_h
+UNIQUENESS_TOL = 0.03  # worst pairwise Hausdorff distance / circumradius allowed
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ class ObjectiveEval:
 
 
 def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float,
-              linear_tol: float = 1e-10, closure_budget: float = np.inf) -> ObjectiveEval:
+              closure_budget: float = np.inf) -> ObjectiveEval:
     """Evaluate J, its exact gradient, tau and the measure at B[h].
 
     ``mesh_h`` is an absolute mesh spacing.  grad_J_i combines the weight
@@ -138,7 +142,7 @@ def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float,
     c = target.weights
     polygon = build_polytope(h)
     mesh = triangulate(polygon, mesh_h)
-    fld = solve_torsion(mesh, SolverOptions(target_h=mesh_h, linear_tol=linear_tol))
+    fld = solve_torsion(mesh)
     mu = torsion_measure(fld, h, budget=closure_budget)
     tau = fld.tau_energy
     phi = float(c @ h.values)
@@ -160,13 +164,10 @@ class SolveOptions:
     mesh_h: float = 0.02
     tol: float = 1e-2
     max_iters: int = 120
-    rng_seed: int = 42
     init_values: np.ndarray | None = None
-    continuation: bool = True
-    linear_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.mesh_h <= 0 or self.tol <= 0 or self.max_iters <= 0:
+        if not (self.mesh_h > 0 and self.tol > 0 and self.max_iters > 0):  # NaN fails too
             raise InvariantViolation("mesh_h, tol and max_iters must be positive")
 
 
@@ -183,8 +184,6 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        from .support_geometry import polygon_to_dict
-
         return {
             "normals": self.h_final.normals.tolist(),
             "support_numbers": self.h_final.values.tolist(),
@@ -218,7 +217,7 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
                     else np.asarray(opts.init_values, dtype=float))
     h = _recentred(h, build_polytope(h))
 
-    stage_scale = 2.0 if opts.continuation else 1.0
+    stage_scale = COARSE_MESH_FACTOR
     coarse_gate = max(3.0 * opts.tol, 0.03)
     J_hist: list[float] = []
     r_hist: list[float] = []
@@ -310,10 +309,8 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
 
 def _eval(h: SupportSpec, target: TargetMeasure, opts: SolveOptions,
           stage_scale: float, closure_budget: float = np.inf) -> ObjectiveEval:
-    polygon = build_polytope(h)
-    mesh_h = opts.mesh_h * stage_scale * metrics(polygon).circumradius
-    return objective(h, target, mesh_h, linear_tol=opts.linear_tol,
-                     closure_budget=closure_budget)
+    mesh_h = opts.mesh_h * stage_scale * metrics(build_polytope(h)).circumradius
+    return objective(h, target, mesh_h, closure_budget=closure_budget)
 
 
 def _report(h, ev, J_hist, r_hist, log, iters, converged) -> SolveReport:
@@ -342,15 +339,14 @@ class UniquenessReport:
     polygons: list
     pairwise_relative: list
     worst_relative: float
-    tolerance: float
 
     @property
     def ok(self) -> bool:
-        return self.worst_relative <= self.tolerance
+        return self.worst_relative <= UNIQUENESS_TOL
 
 
-def uniqueness_probe(target: TargetMeasure, seeds, opts: SolveOptions | None = None,
-                     tolerance: float = 0.03) -> UniquenessReport:
+def uniqueness_probe(target: TargetMeasure, seeds,
+                     opts: SolveOptions | None = None) -> UniquenessReport:
     """Solve from randomized starts and compare the recentred solutions.
 
     Initial support vectors are 1 + 0.3 * uniform(-1, 1) per seed.  All
@@ -358,8 +354,6 @@ def uniqueness_probe(target: TargetMeasure, seeds, opts: SolveOptions | None = N
     Hausdorff distances (relative to the mean circumradius) measure shape
     disagreement only.
     """
-    from .support_geometry import hausdorff_distance
-
     seeds = list(seeds)
     if not seeds:
         raise InvariantViolation("uniqueness_probe needs at least one seed")
@@ -368,7 +362,7 @@ def uniqueness_probe(target: TargetMeasure, seeds, opts: SolveOptions | None = N
     for seed in seeds:
         rng = np.random.default_rng(seed)
         init = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, size=len(target))
-        run = replace(opts, init_values=init, rng_seed=seed)
+        run = replace(opts, init_values=init)
         polys.append(solve_minkowski(target, run).polygon)
     radius = np.mean([metrics(p).circumradius for p in polys])
     pairs = []
@@ -378,4 +372,4 @@ def uniqueness_probe(target: TargetMeasure, seeds, opts: SolveOptions | None = N
             rel = hausdorff_distance(polys[i], polys[j]) / radius
             pairs.append((int(i), int(j), float(rel)))
             worst = max(worst, rel)
-    return UniquenessReport(polys, pairs, worst, tolerance)
+    return UniquenessReport(polys, pairs, worst)

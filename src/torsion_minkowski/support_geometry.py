@@ -27,11 +27,6 @@ UNIT_TOL = 1e-12
 MIN_ANGULAR_GAP = 1e-9
 
 
-def unit_vector(angle: float) -> np.ndarray:
-    """Unit 2-vector at the given angle (radians, measured from +x)."""
-    return np.array([np.cos(angle), np.sin(angle)])
-
-
 def angles_to_normals(angles) -> np.ndarray:
     """Stack unit vectors for a sequence of angles into an (N, 2) array."""
     a = np.asarray(angles, dtype=float)
@@ -67,10 +62,12 @@ class SupportSpec:
     The normals must be pairwise distinct (angular gap at least 1e-9 rad)
     and positively span the plane, so the halfplane intersection B[h] is
     bounded for every choice of values.  Values may have any sign.
+    ``build_polytope`` keeps its result on the spec.
     """
 
     normals: np.ndarray
     values: np.ndarray
+    _polygon: Polygon | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normals = _check_directions(self.normals)
@@ -112,12 +109,14 @@ class Polygon:
     length.  ``source_index[i]``, when present, is the index of the
     generating constraint in the SupportSpec the polygon was built from;
     it keeps measure vectors aligned with the optimizer's normal fan.
+    ``metrics`` keeps its result on the polygon.
     """
 
     vertices: np.ndarray
     facet_normals: np.ndarray = field(default=None)
     facet_lengths: np.ndarray = field(default=None)
     source_index: np.ndarray | None = None
+    _metrics: PolygonMetrics | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.vertices, dtype=float)
@@ -218,6 +217,8 @@ def build_polytope(spec: SupportSpec) -> Polygon:
     EmptyInterior
         If the intersection has no interior.
     """
+    if spec._polygon is not None:
+        return spec._polygon
     normals, values = spec.normals, spec.values
     n = len(spec)
     scale = max(1.0, float(np.abs(values).max()))
@@ -257,12 +258,8 @@ def build_polytope(spec: SupportSpec) -> Polygon:
         raise EmptyInterior(f"degenerate halfplane intersection: {exc}") from exc
     if poly.area <= (1e-10 * scale) * scale:
         raise EmptyInterior("halfplane intersection has zero area")
+    object.__setattr__(spec, "_polygon", poly)
     return poly
-
-
-def support_function(p: Polygon, d) -> float:
-    """h_P(d) = max over vertices of <d, v>."""
-    return float(np.max(p.vertices @ np.asarray(d, dtype=float)))
 
 
 def support_values(p: Polygon, directions) -> np.ndarray:
@@ -345,12 +342,17 @@ class PolygonMetrics:
 
 def metrics(p: Polygon) -> PolygonMetrics:
     """Diameter, inradius (Chebyshev LP over the facet constraints),
-    circumradius about the area centroid, centroid and area."""
+    circumradius about the area centroid, centroid and area.
+
+    Computed once per polygon: the result is kept on ``p``.
+    """
+    if p._metrics is not None:
+        return p._metrics
     v = p.vertices
     diffs = v[:, None, :] - v[None, :, :]
     diameter = float(np.sqrt((diffs ** 2).sum(axis=2).max()))
     cross = v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]
-    area = 0.5 * float(cross.sum())
+    area = p.area
     centroid = ((v + np.roll(v, -1, axis=0)) * cross[:, None]).sum(axis=0) / (6.0 * area)
     # Chebyshev center: maximize r subject to <n_i, x> + r <= h_i.
     res = linprog(
@@ -364,7 +366,11 @@ def metrics(p: Polygon) -> PolygonMetrics:
         raise InvariantViolation(f"inradius LP failed: {res.message}")
     incenter, inradius = res.x[:2], float(res.x[2])
     circumradius = float(np.sqrt(((v - centroid) ** 2).sum(axis=1).max()))
-    return PolygonMetrics(diameter, inradius, circumradius, centroid, area, incenter)
+    centroid.setflags(write=False)
+    incenter.setflags(write=False)
+    object.__setattr__(p, "_metrics", PolygonMetrics(
+        diameter, inradius, circumradius, centroid, area, incenter))
+    return p._metrics
 
 
 def hausdorff_distance(p: Polygon, q: Polygon) -> float:

@@ -28,19 +28,16 @@ from .support_geometry import Polygon
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Resolution and linear-solver knobs.
+    """Linear-solver knobs.
 
-    ``target_h`` is the interior mesh spacing used when solving straight
-    from a polygon; ``linear_tol`` is the relative CG residual tolerance.
+    ``linear_tol`` is the relative CG residual tolerance and
+    ``max_cg_iters`` the CG iteration cap.
     """
 
-    target_h: float = 0.02
     linear_tol: float = 1e-10
     max_cg_iters: int = 50_000
 
     def __post_init__(self):
-        if self.target_h <= 0:
-            raise InvariantViolation("target_h must be positive")
         if not 0 < self.linear_tol <= 1e-4:
             raise InvariantViolation("linear_tol must lie in (0, 1e-4]")
 
@@ -57,10 +54,6 @@ class TorsionField:
     stiffness: sp.csr_matrix = field(repr=False)
     load: np.ndarray = field(repr=False)
     _tri_grads: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def tau(self) -> float:
-        return self.tau_energy
 
     def triangle_gradients(self) -> np.ndarray:
         """Piecewise-constant gradient of u, one row per triangle."""
@@ -148,19 +141,9 @@ def solve_torsion(mesh: TriMesh, opts: SolverOptions | None = None) -> TorsionFi
     return TorsionField(mesh, u, tau_energy, tau_mass, gap, K, b)
 
 
-def solve_on_polygon(p: Polygon, target_h: float,
-                     opts: SolverOptions | None = None) -> TorsionField:
-    """Convenience wrapper: mesh the polygon, then solve."""
-    mesh = triangulate(p, target_h)
-    if opts is None:
-        opts = SolverOptions(target_h=target_h)
-    return solve_torsion(mesh, opts)
-
-
-def torsional_rigidity(f: TorsionField) -> float:
-    """Dirichlet-energy value of the rigidity (the defining estimator);
-    ``f.tau_mass`` and ``f.estimator_gap`` give the consistency check."""
-    return f.tau_energy
+def solve_on_polygon(p: Polygon, target_h: float) -> TorsionField:
+    """Convenience wrapper: mesh the polygon at spacing target_h, then solve."""
+    return solve_torsion(triangulate(p, target_h))
 
 
 def gradient_at(f: TorsionField, x) -> np.ndarray:

@@ -8,9 +8,10 @@ homogeneities of the rigidity (degree 4) and the mixed rigidity
 (degree 3 in the first argument, 1 in the second).
 
 Mesh resolutions passed to these checks are relative to each body's
-circumradius, matching the CLI convention.  The Brunn-Minkowski slack
-and the continuity modulus are configuration values tied to that
-resolution, not constants baked into the checks.
+circumradius, matching the CLI convention.  The pass thresholds (the
+Brunn-Minkowski slack and equality tolerance, the continuity modulus
+factor, the homogeneity tolerance) are module constants sized for the
+default resolution 0.02.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .support_geometry import (
     SupportSpec,
     angles_to_normals,
     build_polytope,
+    hausdorff_distance,
     metrics,
     minkowski_sum,
     regular_polygon,
@@ -34,9 +36,11 @@ from .support_geometry import (
 )
 from .torsion_fem import solve_on_polygon
 
-DEFAULT_BM_SLACK = 0.005
-DEFAULT_EQUALITY_TOL = 0.01
-DEFAULT_HOMOGENEITY_TOL = 0.01
+BM_SLACK = 0.005  # relative concavity defect tolerated
+BM_EQUALITY_TOL = 0.01  # relative defect allowed on translate/dilate pairs
+MODULUS_FACTOR = 10.0  # continuity budget L = MODULUS_FACTOR * tau_1 / inradius
+HOMOGENEITY_TOL = 0.01
+MAX_ASPECT = 10.0 / 3.0  # corpus bodies have circumradius / inradius at most this
 
 
 @dataclass
@@ -69,11 +73,10 @@ class CheckReport:
         return f"{self.name},{self.trials},{self.failures},{self.worst_margin:.6g}"
 
 
-def random_polygon(rng: np.random.Generator, max_facets: int = 10,
-                   max_aspect: float = 10.0 / 3.0) -> Polygon:
+def _random_polygon(rng: np.random.Generator, max_facets: int) -> Polygon:
     """Random convex polygon: random spanning fan, support numbers near 1.
 
-    Degenerate fans and bodies more elongated than ``max_aspect`` are
+    Degenerate fans and bodies more elongated than ``MAX_ASPECT`` are
     rejected and redrawn, which keeps the family inside the solver's
     operating envelope.
     """
@@ -89,15 +92,14 @@ def random_polygon(rng: np.random.Generator, max_facets: int = 10,
         except (EmptyInterior, InvariantViolation):
             continue
         m = metrics(p)
-        if m.circumradius / m.inradius > max_aspect:
+        if m.circumradius / m.inradius > MAX_ASPECT:
             continue
         return p
 
 
-def polygon_corpus(seed: int, count: int, max_facets: int = 10,
-                   max_aspect: float = 10.0 / 3.0) -> list[Polygon]:
+def polygon_corpus(seed: int, count: int, max_facets: int = 10) -> list[Polygon]:
     rng = np.random.default_rng(seed)
-    return [random_polygon(rng, max_facets, max_aspect) for _ in range(count)]
+    return [_random_polygon(rng, max_facets) for _ in range(count)]
 
 
 def _tau_quarter(p: Polygon, mesh_h_rel: float) -> float:
@@ -127,25 +129,20 @@ def is_homothetic(p: Polygon, q: Polygon, tol: float = 1e-9) -> bool:
         return False
     vq = np.roll(sq.values, -roll)
     nq = np.roll(sq.normals, -roll, axis=0)
-    ratios = vq - nq @ _centroid(q)
-    base = sp.values - sp.normals @ _centroid(p)
+    ratios = vq - nq @ metrics(q).centroid
+    base = sp.values - sp.normals @ metrics(p).centroid
     r = ratios / base
     return bool(np.all(np.abs(r - r.mean()) <= tol * max(1.0, abs(r.mean()))))
 
 
-def _centroid(p: Polygon) -> np.ndarray:
-    return metrics(p).centroid
-
-
-def brunn_minkowski_check(p0: Polygon, p1: Polygon, t_grid, mesh_h: float = 0.02,
-                          slack: float = DEFAULT_BM_SLACK,
-                          equality_tol: float = DEFAULT_EQUALITY_TOL) -> CheckReport:
+def brunn_minkowski_check(p0: Polygon, p1: Polygon, t_grid,
+                          mesh_h: float = 0.02) -> CheckReport:
     """Fourth-root concavity of the rigidity along a Minkowski segment.
 
     For each t the combination (1-t) p0 + t p1 must satisfy the concavity
-    inequality with relative slack ``-slack``; when the pair is a
+    inequality with relative slack ``-BM_SLACK``; when the pair is a
     translate/dilate pair the equality defect must also stay below
-    ``equality_tol``.
+    ``BM_EQUALITY_TOL``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any((t_grid <= 0) | (t_grid >= 1)):
@@ -160,9 +157,9 @@ def brunn_minkowski_check(p0: Polygon, p1: Polygon, t_grid, mesh_h: float = 0.02
         lhs = _tau_quarter(comb, mesh_h)
         rhs = (1.0 - t) * q0 + t * q1
         margin = (lhs - rhs) / rhs
-        bad = margin < -slack
+        bad = margin < -BM_SLACK
         if homothetic:
-            bad = bad or abs(margin) > equality_tol
+            bad = bad or abs(margin) > BM_EQUALITY_TOL
         failures += int(bad)
         worst = min(worst, margin)
         details.append({"t": float(t), "margin": float(margin),
@@ -171,13 +168,12 @@ def brunn_minkowski_check(p0: Polygon, p1: Polygon, t_grid, mesh_h: float = 0.02
 
 
 def continuity_check(p: Polygon, perturbation_scale: float, trials: int,
-                     mesh_h: float = 0.02, rng_seed: int = 42,
-                     modulus_factor: float = 10.0) -> CheckReport:
+                     mesh_h: float = 0.02, rng_seed: int = 42) -> CheckReport:
     """Response of the mixed rigidity to support-number perturbations.
 
     The comparison body is the unit disk (support function 1), so the
     mixed rigidity is the measure's total mass.  Changes must stay below
-    L times the Hausdorff distance with L = modulus_factor * tau_1 /
+    L times the Hausdorff distance with L = MODULUS_FACTOR * tau_1 /
     inradius — an engineering budget standing in for the continuity
     statement, which provides no modulus.
     """
@@ -188,8 +184,7 @@ def continuity_check(p: Polygon, perturbation_scale: float, trials: int,
     spec = support_spec_of(p)
     base_field = solve_on_polygon(p, mesh_h * m.circumradius)
     tau1_base = facet_measure(base_field).total_mass
-    modulus = modulus_factor * tau1_base / m.inradius
-    from .support_geometry import hausdorff_distance
+    modulus = MODULUS_FACTOR * tau1_base / m.inradius
 
     details = []
     failures = 0
@@ -216,8 +211,7 @@ def continuity_check(p: Polygon, perturbation_scale: float, trials: int,
         note="budget modulus tied to the mesh resolution, not a proven modulus of continuity")
 
 
-def homogeneity_check(p: Polygon, scales, mesh_h: float = 0.02,
-                      tol: float = DEFAULT_HOMOGENEITY_TOL) -> CheckReport:
+def homogeneity_check(p: Polygon, scales, mesh_h: float = 0.02) -> CheckReport:
     """Dilation homogeneity: tau scales with the 4th power, the mixed
     rigidity against a fixed comparison octagon with the 3rd."""
     scales = np.asarray(scales, dtype=float)
@@ -237,7 +231,7 @@ def homogeneity_check(p: Polygon, scales, mesh_h: float = 0.02,
         r_tau = abs(fs.tau_energy / (s ** 4 * tau0) - 1.0)
         tau1_s = mixed_torsion(facet_measure(fs), comparison)
         r_tau1 = abs(tau1_s / (s ** 3 * tau1_0) - 1.0)
-        bad = r_tau > tol or r_tau1 > tol
+        bad = r_tau > HOMOGENEITY_TOL or r_tau1 > HOMOGENEITY_TOL
         failures += int(bad)
         worst = max(worst, r_tau, r_tau1)
         details.append({"s": float(s), "tau_defect": float(r_tau),
@@ -245,14 +239,14 @@ def homogeneity_check(p: Polygon, scales, mesh_h: float = 0.02,
     return CheckReport("homogeneity", len(scales), failures, float(worst), details)
 
 
-def run_verify_corpus(seed: int = 42, count: int = 50, mesh_h: float = 0.02,
-                      bm_t: float = 0.5, continuity_trials: int = 1,
-                      homogeneity_scales=(2.0,)) -> list[CheckReport]:
+def run_verify_corpus(seed: int = 42, count: int = 50,
+                      mesh_h: float = 0.02) -> list[CheckReport]:
     """Run all three checks over a seeded corpus and merge the reports.
 
-    Brunn-Minkowski runs on consecutive corpus pairs; continuity perturbs
-    each member at 2% of its inradius; homogeneity dilates each member.
-    Reports are merged deterministically in corpus order.
+    Brunn-Minkowski runs at t = 0.5 on consecutive corpus pairs;
+    continuity perturbs each member once at 2% of its inradius;
+    homogeneity dilates each member by 2.  Reports are merged
+    deterministically in corpus order.
     """
     corpus = polygon_corpus(seed, count)
     bm = CheckReport("brunn_minkowski", 0, 0, np.inf, [])
@@ -261,13 +255,13 @@ def run_verify_corpus(seed: int = 42, count: int = 50, mesh_h: float = 0.02,
         note="budget modulus tied to the mesh resolution, not a proven modulus of continuity")
     homo = CheckReport("homogeneity", 0, 0, 0.0, [])
     for k, p in enumerate(corpus):
-        r_h = homogeneity_check(p, homogeneity_scales, mesh_h)
+        r_h = homogeneity_check(p, [2.0], mesh_h)
         _merge(homo, r_h, k, smallest=False)
-        r_c = continuity_check(p, 0.02 * metrics(p).inradius,
-                               continuity_trials, mesh_h, rng_seed=seed + k)
+        r_c = continuity_check(p, 0.02 * metrics(p).inradius, 1, mesh_h,
+                               rng_seed=seed + k)
         _merge(cont, r_c, k, smallest=False)
         if k % 2 == 1:
-            r_b = brunn_minkowski_check(corpus[k - 1], p, [bm_t], mesh_h)
+            r_b = brunn_minkowski_check(corpus[k - 1], p, [0.5], mesh_h)
             _merge(bm, r_b, k, smallest=True)
     return [bm, cont, homo]
 

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from torsion_minkowski import (
     FacetAttributionMissing,
+    FluxSolveFailure,
     InvariantViolation,
     SurfaceMeasure,
     boundary_flux,
@@ -65,6 +68,16 @@ def test_flux_scales_linearly(square, square_field):
     # scale-equivariant meshing maps boundary nodes 1:1
     assert len(g1) == len(g2)
     assert np.abs(g2 - 2.0 * g1).max() <= 0.03 * (2.0 * g1).max()
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_singular_boundary_mass_raises_flux_failure(square_field):
+    # zero edge lengths make the boundary mass matrix zero, so spsolve
+    # returns NaN and the finiteness check must turn that into a typed error
+    mesh = replace(square_field.mesh,
+                   boundary_edge_lengths=np.zeros_like(square_field.mesh.boundary_edge_lengths))
+    with pytest.raises(FluxSolveFailure):
+        boundary_flux(replace(square_field, mesh=mesh))
 
 
 # --------------------------------------------------------------- measure

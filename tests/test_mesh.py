@@ -7,7 +7,6 @@ from torsion_minkowski import (
     MeshTooFine,
     PointOutside,
     check_mesh,
-    mesh_to_dict,
     metrics,
     refine,
     regular_polygon,
@@ -96,13 +95,6 @@ def test_locate_and_outside(square_mesh):
     assert square_mesh.locate(outside)[0] == -1
     with pytest.raises(PointOutside):
         square_mesh.barycentric(outside)
-
-
-def test_mesh_dump_schema(square_mesh):
-    d = mesh_to_dict(square_mesh)
-    assert set(d) == {"nodes", "triangles", "boundary"}
-    assert len(d["boundary"][0]) == 3
-    assert len(d["nodes"]) == square_mesh.n_nodes
 
 
 def _turned(p, angle):

@@ -24,6 +24,7 @@ from torsion_minkowski import (
     translate,
     uniqueness_probe,
 )
+from torsion_minkowski import minkowski_solver, support_geometry
 from torsion_minkowski.verify_suite import polygon_corpus
 from conftest import SQUARE_COEFF, corpus_measure_target
 
@@ -211,6 +212,28 @@ def test_fine_stage_stops_on_the_l1_residual():
     assert rep.residual_history[-1] <= 0.02
 
 
+def test_each_evaluation_runs_one_lp(monkeypatch):
+    # metrics is kept on each polygon and build_polytope on each spec, so
+    # an objective evaluation solves the inradius LP once, not up to 3 times
+    target, _ = corpus_measure_target(7)
+    counts = {"lp": 0, "evals": 0}
+    linprog, evaluate = support_geometry.linprog, minkowski_solver.objective
+
+    def counting_linprog(*args, **kwargs):
+        counts["lp"] += 1
+        return linprog(*args, **kwargs)
+
+    def counting_objective(*args, **kwargs):
+        counts["evals"] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(support_geometry, "linprog", counting_linprog)
+    monkeypatch.setattr(minkowski_solver, "objective", counting_objective)
+    solve_minkowski(target, SolveOptions())
+    assert counts["evals"] > 0
+    assert counts["lp"] == counts["evals"]
+
+
 def test_solve_scale_equivariance(square_target):
     s = 1.7
     rep1 = solve_minkowski(square_target, SolveOptions())
@@ -231,6 +254,8 @@ def test_option_validation(square_target):
         SolveOptions(mesh_h=-0.01)
     with pytest.raises(InvariantViolation):
         SolveOptions(max_iters=0)
+    with pytest.raises(InvariantViolation):
+        SolveOptions(tol=float("nan"))
     with pytest.raises(InvariantViolation):
         uniqueness_probe(square_target, seeds=[])
 

@@ -19,7 +19,6 @@ from torsion_minkowski import (
     regular_polygon,
     scale,
     steiner_point,
-    support_function,
     support_spec_of,
     support_values,
     translate,
@@ -102,9 +101,9 @@ def test_rebuild_from_own_support_numbers(square, hexagon):
 
 
 def test_support_function_square(square):
-    assert support_function(square, [1.0, 0.0]) == pytest.approx(1.0)
+    assert support_values(square, [1.0, 0.0])[0] == pytest.approx(1.0)
     d = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert support_function(square, d) == pytest.approx(np.sqrt(2.0))
+    assert support_values(square, d)[0] == pytest.approx(np.sqrt(2.0))
 
 
 def test_support_translation_law(square):
@@ -112,8 +111,8 @@ def test_support_translation_law(square):
     q = translate(square, t)
     rng = np.random.default_rng(0)
     for d in angles_to_normals(rng.uniform(-np.pi, np.pi, 50)):
-        assert support_function(q, d) == pytest.approx(
-            support_function(square, d) + t @ d, abs=1e-12)
+        assert support_values(q, d)[0] == pytest.approx(
+            support_values(square, d)[0] + t @ d, abs=1e-12)
 
 
 # --------------------------------------------------------- minkowski sum
@@ -189,6 +188,17 @@ def test_metrics_rectangle():
     m = metrics(rect)
     assert m.inradius == pytest.approx(1.0, abs=1e-9)
     assert m.diameter == pytest.approx(2.0 * np.sqrt(5.0))
+
+
+def test_polygon_and_metrics_kept_on_their_inputs():
+    spec = axis_support_spec([0.5, 0.5, 0.5, 0.5])
+    p = build_polytope(spec)
+    assert build_polytope(spec) is p
+    m = metrics(p)
+    assert metrics(p) is m
+    assert m.area == p.area
+    with pytest.raises(ValueError):
+        m.centroid[0] = 1.0
 
 
 def test_metrics_hexagon(hexagon):

@@ -13,7 +13,6 @@ from torsion_minkowski import (
     scale,
     solve_on_polygon,
     solve_torsion,
-    torsional_rigidity,
     translate,
     triangulate,
 )
@@ -23,7 +22,7 @@ from conftest import SQUARE_COEFF
 
 def test_disk_oracle(disk_field):
     # analytic solution on the unit disk: u = (1 - |x|^2) / 2, tau = pi/2
-    tau = torsional_rigidity(disk_field)
+    tau = disk_field.tau_energy
     assert abs(tau - np.pi / 2) / (np.pi / 2) < 0.01
 
 
@@ -99,11 +98,9 @@ def test_monotonicity_under_inclusion():
 def test_cg_iteration_cap(square):
     mesh = triangulate(square, 0.1)
     with pytest.raises(LinearSolveFailure):
-        solve_torsion(mesh, SolverOptions(target_h=0.1, max_cg_iters=2))
+        solve_torsion(mesh, SolverOptions(max_cg_iters=2))
 
 
 def test_solver_options_validation():
-    with pytest.raises(InvariantViolation):
-        SolverOptions(target_h=-1.0)
     with pytest.raises(InvariantViolation):
         SolverOptions(linear_tol=1e-3)
