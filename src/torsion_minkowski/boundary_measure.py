@@ -28,7 +28,6 @@ from .support_geometry import (
     Polygon,
     SupportSpec,
     build_polytope,
-    metrics,
     minkowski_sum,
     scale,
     support_values,
@@ -123,10 +122,10 @@ def _facet_weights(f: TorsionField, flux: np.ndarray | None = None) -> np.ndarra
     return weights
 
 
-def facet_measure(f: TorsionField, budget: float = CLOSURE_BUDGET) -> SurfaceMeasure:
+def facet_measure(f: TorsionField) -> SurfaceMeasure:
     """Torsion measure on the mesh polygon's own facet normals."""
     weights = _facet_weights(f)
-    return SurfaceMeasure(f.mesh.polygon.facet_normals, weights).validate(budget)
+    return SurfaceMeasure(f.mesh.polygon.facet_normals, weights).validate()
 
 
 def torsion_measure(f: TorsionField, spec: SupportSpec,
@@ -203,22 +202,22 @@ class HadamardReport:
 
 
 def hadamard_fd_check(spec: SupportSpec, spec_prime: SupportSpec,
-                      s_values, mesh_h: float | None = None) -> HadamardReport:
+                      s_values, mesh_h: float) -> HadamardReport:
     """Finite-difference probe of the Hadamard derivative formula.
 
     Compares quotients (tau(body + s * body') - tau(body)) / s against
     the predicted slope sum h'(X_i) mu_i, using Richardson-extrapolated
-    rigidities and a measure computed on a refined mesh.  The two
-    smallest steps also give a linear extrapolation of the quotient to
-    s = 0.
+    rigidities and a measure computed on a refined mesh.  ``mesh_h`` is
+    an absolute mesh spacing, and ``s_values`` a nonempty, positive,
+    decreasing 1-D sequence.  The two smallest steps also give a linear
+    extrapolation of the quotient to s = 0.
     """
     s_values = np.asarray(s_values, dtype=float)
-    if np.any(s_values <= 0) or np.any(np.diff(s_values) >= 0):
-        raise InvariantViolation("s_values must be positive and decreasing")
+    if (s_values.ndim != 1 or len(s_values) == 0 or not np.all(s_values > 0)
+            or not np.all(np.diff(s_values) < 0)):
+        raise InvariantViolation("s_values must be a nonempty, positive, decreasing list")
     body = build_polytope(spec)
     body_prime = build_polytope(spec_prime)
-    if mesh_h is None:
-        mesh_h = 0.02 * metrics(body).circumradius
     tau0, _, fine = _tau_refined(body, mesh_h)
     mu = facet_measure(fine)
     predicted = mixed_torsion(mu, body_prime)

@@ -24,7 +24,7 @@ from scipy.spatial import Delaunay, cKDTree
 from .errors import InvariantViolation, MeshTooFine, PointOutside
 from .support_geometry import Polygon, metrics
 
-DEFAULT_NODE_CAP = 2_000_000
+NODE_CAP = 2_000_000  # triangulate and refine raise MeshTooFine above this
 SMOOTH_SWEEPS = 4
 MIN_ANGLE_DEG = 20.0  # smallest triangle angle check_mesh accepts
 
@@ -45,7 +45,7 @@ class TriMesh:
     boundary_edge_lengths: np.ndarray
     target_h: float
     polygon: Polygon
-    _tree: cKDTree | None = field(default=None, repr=False, compare=False)
+    _tree: cKDTree | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -66,9 +66,7 @@ class TriMesh:
         return np.unique(self.boundary_edges)
 
     def triangle_areas(self) -> np.ndarray:
-        a, b, c = (self.nodes[self.triangles[:, k]] for k in range(3))
-        return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                      - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+        return 0.5 * _p1_basis(self)[0]
 
     def locate(self, points, k: int = 16) -> np.ndarray:
         """Index of the triangle containing each query point (-1 outside).
@@ -127,6 +125,18 @@ class TriMesh:
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _p1_basis(mesh: TriMesh):
+    """P1 element geometry: (twice_area, gx, gy) per triangle.
+
+    Row t of the (T, 3) arrays gx, gy holds the gradients of the three
+    barycentric basis functions of triangle t, scaled by its twice-area.
+    """
+    a, b, c = (mesh.nodes[mesh.triangles[:, k]] for k in range(3))
+    gx = np.column_stack([b[:, 1] - c[:, 1], c[:, 1] - a[:, 1], a[:, 1] - b[:, 1]])
+    gy = np.column_stack([c[:, 0] - b[:, 0], a[:, 0] - c[:, 0], b[:, 0] - a[:, 0]])
+    return gx[:, 1] * gy[:, 2] - gx[:, 2] * gy[:, 1], gx, gy
 
 
 def _boundary_samples(p: Polygon, spacing: float):
@@ -201,7 +211,7 @@ def _smooth(points: np.ndarray, n_fixed: int, h_lat: float, polygon: Polygon,
     return pts
 
 
-def triangulate(p: Polygon, target_h: float, node_cap: int = DEFAULT_NODE_CAP) -> TriMesh:
+def triangulate(p: Polygon, target_h: float) -> TriMesh:
     """Triangulate a convex polygon at the requested resolution.
 
     Parameters
@@ -210,8 +220,6 @@ def triangulate(p: Polygon, target_h: float, node_cap: int = DEFAULT_NODE_CAP) -
         Domain; must satisfy 0 < target_h < inradius.
     target_h : float
         Interior spacing target.  Boundary spacing is target_h / 2.
-    node_cap : int
-        Hard cap on the node count; exceeding it raises MeshTooFine.
     """
     if target_h <= 0:
         raise InvariantViolation("target_h must be positive")
@@ -224,8 +232,8 @@ def triangulate(p: Polygon, target_h: float, node_cap: int = DEFAULT_NODE_CAP) -
     h_lat = 0.85 * target_h
     interior = _hex_lattice(p, h_lat, margin=0.5 * h_lat)
     n_total = len(bpts) + len(interior)
-    if n_total > node_cap:
-        raise MeshTooFine(f"mesh would need {n_total} nodes (cap {node_cap})")
+    if n_total > NODE_CAP:
+        raise MeshTooFine(f"mesh would need {n_total} nodes (cap {NODE_CAP})")
     points = _smooth(np.vstack([bpts, interior]), len(bpts), h_lat, p,
                      min_margin=0.4 * spacing)
     triangles = _orient(points, Delaunay(points).simplices)
@@ -267,7 +275,7 @@ def _assert_conforming(mesh: TriMesh) -> None:
         raise InvariantViolation("triangulation boundary does not match the facet walk")
 
 
-def refine(m: TriMesh, node_cap: int = DEFAULT_NODE_CAP) -> TriMesh:
+def refine(m: TriMesh) -> TriMesh:
     """Uniform refinement: each triangle splits into 4 via edge midpoints.
 
     Child triangles are similar to their parent, so angle quality is
@@ -276,8 +284,8 @@ def refine(m: TriMesh, node_cap: int = DEFAULT_NODE_CAP) -> TriMesh:
     """
     keys, _ = _edge_counts(m)
     n = m.n_nodes
-    if n + len(keys) > node_cap:
-        raise MeshTooFine(f"refinement would need {n + len(keys)} nodes (cap {node_cap})")
+    if n + len(keys) > NODE_CAP:
+        raise MeshTooFine(f"refinement would need {n + len(keys)} nodes (cap {NODE_CAP})")
     nodes = np.vstack([m.nodes, 0.5 * (m.nodes[keys // n] + m.nodes[keys % n])])
 
     def mid(i, j):

@@ -67,8 +67,8 @@ class TargetMeasure:
         weights = np.ascontiguousarray(self.weights, dtype=float)
         if weights.shape != (len(probe),):
             raise InvariantViolation("one weight per normal required")
-        if np.any(weights <= 0):
-            raise InvariantViolation("target weights must be strictly positive")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise InvariantViolation("target weights must be finite and strictly positive")
         moment = weights @ probe.normals
         if np.linalg.norm(moment) > 1e-9 * weights.sum():
             raise InvariantViolation(
@@ -90,8 +90,8 @@ def project_balance(c_raw, normals) -> TargetMeasure:
     datum is rejected.
     """
     c = np.asarray(c_raw, dtype=float)
-    if np.any(c <= 0):
-        raise UnbalanceableMeasure("weights must be strictly positive")
+    if not np.all(np.isfinite(c) & (c > 0)):
+        raise UnbalanceableMeasure("weights must be finite and strictly positive")
     normals = np.asarray(normals, dtype=float)
     order = np.argsort(np.arctan2(normals[:, 1], normals[:, 0]))
     normals, c = normals[order], c[order]

@@ -28,9 +28,13 @@ MIN_ANGULAR_GAP = 1e-9
 
 
 def angles_to_normals(angles) -> np.ndarray:
-    """Stack unit vectors for a sequence of angles into an (N, 2) array."""
+    """Stack unit vectors for a sequence of angles into an (N, 2) array.
+
+    A non-finite angle gives a NaN row, which ``SupportSpec`` rejects.
+    """
     a = np.asarray(angles, dtype=float)
-    return np.column_stack([np.cos(a), np.sin(a)])
+    with np.errstate(invalid="ignore"):
+        return np.column_stack([np.cos(a), np.sin(a)])
 
 
 def normal_angles(normals: np.ndarray) -> np.ndarray:
@@ -44,7 +48,7 @@ def _check_directions(normals: np.ndarray) -> np.ndarray:
     if normals.ndim != 2 or normals.shape[1] != 2 or len(normals) == 0:
         raise InvariantViolation("normals must be a nonempty (N, 2) array")
     norms = np.hypot(normals[:, 0], normals[:, 1])
-    if np.any(np.abs(norms - 1.0) > UNIT_TOL):
+    if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):  # NaN fails too
         raise InvariantViolation("normals must be unit vectors (|x|^2+|y|^2 = 1 within 1e-12)")
     return normals
 
@@ -72,8 +76,8 @@ class SupportSpec:
     def __post_init__(self):
         normals = _check_directions(self.normals)
         values = np.ascontiguousarray(self.values, dtype=float)
-        if values.shape != (len(normals),):
-            raise InvariantViolation("values must have one entry per normal")
+        if values.shape != (len(normals),) or not np.all(np.isfinite(values)):
+            raise InvariantViolation("values must be finite, one entry per normal")
         ang = normal_angles(normals)
         if np.any(np.diff(ang) <= 0):
             raise InvariantViolation("normals must be strictly sorted by angle")
@@ -106,15 +110,16 @@ class Polygon:
 
     ``facet_normals[i]`` is the outward unit normal of the edge from
     ``vertices[i]`` to ``vertices[i+1]`` and ``facet_lengths[i]`` its
-    length.  ``source_index[i]``, when present, is the index of the
-    generating constraint in the SupportSpec the polygon was built from;
-    it keeps measure vectors aligned with the optimizer's normal fan.
+    length; both are derived from the vertices.  ``source_index[i]``,
+    when present, is the index of the generating constraint in the
+    SupportSpec the polygon was built from; it keeps measure vectors
+    aligned with the optimizer's normal fan.
     ``metrics`` keeps its result on the polygon.
     """
 
     vertices: np.ndarray
-    facet_normals: np.ndarray = field(default=None)
-    facet_lengths: np.ndarray = field(default=None)
+    facet_normals: np.ndarray = field(init=False)
+    facet_lengths: np.ndarray = field(init=False)
     source_index: np.ndarray | None = None
     _metrics: PolygonMetrics | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -122,15 +127,14 @@ class Polygon:
         v = np.ascontiguousarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise InvariantViolation("a polygon needs at least 3 vertices")
+        if not np.all(np.isfinite(v)):
+            raise InvariantViolation("vertices must be finite")
         edges = np.roll(v, -1, axis=0) - v
         cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
         if np.any(cross <= CROSS_TOL):
             raise InvariantViolation("vertex cycle is not strictly convex counterclockwise")
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-        if self.facet_normals is not None:
-            if not np.allclose(self.facet_normals, normals, atol=1e-10):
-                raise InvariantViolation("facet normals inconsistent with edges")
         if 0.5 * np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]) <= 0:
             raise InvariantViolation("polygon area must be positive")
         src = self.source_index

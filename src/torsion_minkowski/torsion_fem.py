@@ -2,10 +2,15 @@
 
 Solves the Poisson problem with constant load 2 and zero boundary values
 on a triangulated convex polygon, and evaluates the torsional rigidity
-two ways: as the Dirichlet energy of the discrete solution and as twice
-its integral.  The two agree up to the linear-solver tolerance (they are
-algebraically identical for a Galerkin solution), so their gap is an
-a-posteriori check on the linear algebra, reported on the field.
+two ways: as the Dirichlet energy u . K u of the discrete solution and as
+twice its integral, the mass estimator u . load (the load vector holds
+each node's share of the integral of the constant 2).  The two agree up
+to the linear-solver tolerance (they are algebraically identical for a
+Galerkin solution), so their gap is an a-posteriori check on the linear
+algebra, reported on the field.
+
+The interior system is solved by Jacobi-preconditioned conjugate
+gradients with the fixed settings ``LINEAR_TOL`` and ``MAX_CG_ITERS``.
 """
 
 from __future__ import annotations
@@ -16,30 +21,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
-from .errors import (
-    InvariantViolation,
-    LinearSolveFailure,
-    MaximumPrincipleViolation,
-    PointOutside,
-)
-from .mesh import TriMesh, triangulate
+from .errors import LinearSolveFailure, MaximumPrincipleViolation, PointOutside
+from .mesh import TriMesh, _p1_basis, triangulate
 from .support_geometry import Polygon
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Linear-solver knobs.
-
-    ``linear_tol`` is the relative CG residual tolerance and
-    ``max_cg_iters`` the CG iteration cap.
-    """
-
-    linear_tol: float = 1e-10
-    max_cg_iters: int = 50_000
-
-    def __post_init__(self):
-        if not 0 < self.linear_tol <= 1e-4:
-            raise InvariantViolation("linear_tol must lie in (0, 1e-4]")
+LINEAR_TOL = 1e-10  # relative CG residual tolerance
+MAX_CG_ITERS = 50_000
 
 
 @dataclass
@@ -53,21 +40,16 @@ class TorsionField:
     estimator_gap: float
     stiffness: sp.csr_matrix = field(repr=False)
     load: np.ndarray = field(repr=False)
-    _tri_grads: np.ndarray | None = field(default=None, repr=False)
+    _tri_grads: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def triangle_gradients(self) -> np.ndarray:
         """Piecewise-constant gradient of u, one row per triangle."""
         if self._tri_grads is None:
-            m = self.mesh
-            a, b, c = (m.nodes[m.triangles[:, k]] for k in range(3))
-            ua, ub, uc = (self.u[m.triangles[:, k]] for k in range(3))
-            twice_area = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                          - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-            gx = (ua * (b[:, 1] - c[:, 1]) + ub * (c[:, 1] - a[:, 1])
-                  + uc * (a[:, 1] - b[:, 1])) / twice_area
-            gy = (ua * (c[:, 0] - b[:, 0]) + ub * (a[:, 0] - c[:, 0])
-                  + uc * (b[:, 0] - a[:, 0])) / twice_area
-            self._tri_grads = np.column_stack([gx, gy])
+            twice_area, gx, gy = _p1_basis(self.mesh)
+            ua, ub, uc = self.u[self.mesh.triangles].T
+            self._tri_grads = np.column_stack([
+                (ua * gx[:, 0] + ub * gx[:, 1] + uc * gx[:, 2]) / twice_area,
+                (ua * gy[:, 0] + ub * gy[:, 1] + uc * gy[:, 2]) / twice_area])
         return self._tri_grads
 
     def interpolate(self, points) -> np.ndarray:
@@ -83,12 +65,7 @@ def assemble(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray]:
     quadrature, which is exact for the constant right-hand side 2.
     """
     t = mesh.triangles
-    a, b, c = mesh.nodes[t[:, 0]], mesh.nodes[t[:, 1]], mesh.nodes[t[:, 2]]
-    twice_area = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                  - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-    # gradients of the barycentric basis, scaled by 2*area
-    gx = np.column_stack([b[:, 1] - c[:, 1], c[:, 1] - a[:, 1], a[:, 1] - b[:, 1]])
-    gy = np.column_stack([c[:, 0] - b[:, 0], a[:, 0] - c[:, 0], b[:, 0] - a[:, 0]])
+    twice_area, gx, gy = _p1_basis(mesh)
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):
@@ -104,7 +81,7 @@ def assemble(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray]:
     return K, load
 
 
-def solve_torsion(mesh: TriMesh, opts: SolverOptions | None = None) -> TorsionField:
+def solve_torsion(mesh: TriMesh) -> TorsionField:
     """Solve the torsion problem on a mesh.
 
     The symmetric positive-definite interior system is solved by
@@ -113,7 +90,6 @@ def solve_torsion(mesh: TriMesh, opts: SolverOptions | None = None) -> TorsionFi
     MaximumPrincipleViolation if any interior value comes out
     non-positive (a symptom of a bad mesh).
     """
-    opts = opts or SolverOptions()
     K, b = assemble(mesh)
     interior = ~mesh.is_boundary
     idx = np.flatnonzero(interior)
@@ -121,12 +97,11 @@ def solve_torsion(mesh: TriMesh, opts: SolverOptions | None = None) -> TorsionFi
     bi = b[idx]
     diag = Kii.diagonal()
     M = sp.diags(1.0 / diag)
-    ui, info = cg(Kii, bi, rtol=opts.linear_tol, atol=0.0,
-                  maxiter=opts.max_cg_iters, M=M)
+    ui, info = cg(Kii, bi, rtol=LINEAR_TOL, atol=0.0, maxiter=MAX_CG_ITERS, M=M)
     if info != 0:
-        raise LinearSolveFailure(f"CG returned info={info} after cap {opts.max_cg_iters}")
+        raise LinearSolveFailure(f"CG returned info={info} after cap {MAX_CG_ITERS}")
     resid = np.linalg.norm(Kii @ ui - bi)
-    if resid > 10.0 * opts.linear_tol * np.linalg.norm(bi):
+    if resid > 10.0 * LINEAR_TOL * np.linalg.norm(bi):
         raise LinearSolveFailure(f"CG residual {resid:.2e} above tolerance")
     if np.any(ui <= 0.0):
         raise MaximumPrincipleViolation(
@@ -135,8 +110,7 @@ def solve_torsion(mesh: TriMesh, opts: SolverOptions | None = None) -> TorsionFi
     u[idx] = ui
 
     tau_energy = float(u @ (K @ u))
-    areas = mesh.triangle_areas()
-    tau_mass = float(2.0 * np.sum(areas * u[mesh.triangles].mean(axis=1)))
+    tau_mass = float(u @ b)
     gap = abs(tau_energy - tau_mass) / tau_energy
     return TorsionField(mesh, u, tau_energy, tau_mass, gap, K, b)
 

@@ -41,6 +41,8 @@ BM_EQUALITY_TOL = 0.01  # relative defect allowed on translate/dilate pairs
 MODULUS_FACTOR = 10.0  # continuity budget L = MODULUS_FACTOR * tau_1 / inradius
 HOMOGENEITY_TOL = 0.01
 MAX_ASPECT = 10.0 / 3.0  # corpus bodies have circumradius / inradius at most this
+HOMOTHETIC_TOL = 1e-9  # relative spread of support-number ratios for a homothet
+CORPUS_SIZE = 50  # bodies in the run_verify_corpus battery
 
 
 @dataclass
@@ -107,7 +109,7 @@ def _tau_quarter(p: Polygon, mesh_h_rel: float) -> float:
     return solve_on_polygon(p, h).tau_energy ** 0.25
 
 
-def is_homothetic(p: Polygon, q: Polygon, tol: float = 1e-9) -> bool:
+def is_homothetic(p: Polygon, q: Polygon) -> bool:
     """True when q is a translate and dilate of p.
 
     Fans are aligned cyclically by angle first: roundoff can park a
@@ -132,7 +134,7 @@ def is_homothetic(p: Polygon, q: Polygon, tol: float = 1e-9) -> bool:
     ratios = vq - nq @ metrics(q).centroid
     base = sp.values - sp.normals @ metrics(p).centroid
     r = ratios / base
-    return bool(np.all(np.abs(r - r.mean()) <= tol * max(1.0, abs(r.mean()))))
+    return bool(np.all(np.abs(r - r.mean()) <= HOMOTHETIC_TOL * max(1.0, abs(r.mean()))))
 
 
 def brunn_minkowski_check(p0: Polygon, p1: Polygon, t_grid,
@@ -239,16 +241,16 @@ def homogeneity_check(p: Polygon, scales, mesh_h: float = 0.02) -> CheckReport:
     return CheckReport("homogeneity", len(scales), failures, float(worst), details)
 
 
-def run_verify_corpus(seed: int = 42, count: int = 50,
-                      mesh_h: float = 0.02) -> list[CheckReport]:
-    """Run all three checks over a seeded corpus and merge the reports.
+def run_verify_corpus(seed: int = 42, mesh_h: float = 0.02) -> list[CheckReport]:
+    """Run all three checks over a seeded corpus of ``CORPUS_SIZE`` bodies
+    and merge the reports.
 
     Brunn-Minkowski runs at t = 0.5 on consecutive corpus pairs;
     continuity perturbs each member once at 2% of its inradius;
     homogeneity dilates each member by 2.  Reports are merged
     deterministically in corpus order.
     """
-    corpus = polygon_corpus(seed, count)
+    corpus = polygon_corpus(seed, CORPUS_SIZE)
     bm = CheckReport("brunn_minkowski", 0, 0, np.inf, [])
     cont = CheckReport(
         "continuity", 0, 0, 0.0, [],

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from torsion_minkowski import (
     translate,
     triangulate,
 )
+from torsion_minkowski.cli import main
 from conftest import SQUARE_COEFF
 
 
@@ -192,8 +194,12 @@ def test_hadamard_square_octagon(axis_spec):
     assert rep.extrapolated_mismatch < 0.01
 
 
-def test_hadamard_validates_s_values(axis_spec):
-    with pytest.raises(InvariantViolation):
-        hadamard_fd_check(axis_spec, axis_spec, [0.01, 0.02])
-    with pytest.raises(InvariantViolation):
-        hadamard_fd_check(axis_spec, axis_spec, [-0.01])
+def test_hadamard_validates_s_values(axis_spec, tmp_path, capsys):
+    for bad in ([0.01, 0.02], [-0.01], [], 0.01, [np.nan]):
+        with pytest.raises(InvariantViolation):
+            hadamard_fd_check(axis_spec, axis_spec, bad, mesh_h=0.03)
+    path = tmp_path / "pair.json"
+    square = {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}
+    path.write_text(json.dumps({"body": square, "body_prime": square, "s_values": []}))
+    assert main(["hadamard", "--input", str(path)]) == 1
+    assert "InvariantViolation" in capsys.readouterr().err

@@ -143,6 +143,25 @@ def test_solve_unbalanced_exit_code(tmp_path, capsys):
     assert "UnbalanceableMeasure" in capsys.readouterr().err
 
 
+def test_non_finite_input_exit_code(tmp_path, capsys):
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        ("solve", {"angles_deg": [0, 90, 180, 270],
+                   "weights": [0.28113, nan, 0.28113, 0.28113]}),
+        ("solve", {"angles_deg": [0, 90, 180, 270],
+                   "weights": [0.28113, inf, 0.28113, 0.28113]}),
+        ("solve", {"angles_deg": [0, nan, 180, 270], "weights": [0.28113] * 4}),
+        ("solve", {"angles_deg": [0, 90, inf, 270], "weights": [0.28113] * 4}),
+        ("torsion", {"vertices": [[0, 0], [1, 0], [1, nan], [0, 1]]}),
+    ]
+    for k, (command, payload) in enumerate(cases):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(payload))  # writes NaN / Infinity literals
+        assert main([command, "--input", str(path)]) == 1, payload
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
 def test_missing_input_file_exit_code(capsys):
     code = main(["torsion", "--input", "/nonexistent/file.json"])
     assert code == 1

@@ -72,12 +72,13 @@ def test_node_count_scaling(square):
     assert 4.0 <= ratio <= 64.0  # O(h^-2) within a factor 4 of the nominal 16
 
 
-def test_node_cap(square):
-    with pytest.raises(MeshTooFine):
-        triangulate(square, 0.05, node_cap=100)
+def test_node_cap(square, monkeypatch):
     m = triangulate(square, 0.3)
+    monkeypatch.setattr(mesh_module, "NODE_CAP", m.n_nodes + 1)
     with pytest.raises(MeshTooFine):
-        refine(m, node_cap=m.n_nodes + 1)
+        triangulate(square, 0.05)
+    with pytest.raises(MeshTooFine):
+        refine(m)
 
 
 def test_corpus_meshes_pass_checker():

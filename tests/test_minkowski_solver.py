@@ -71,6 +71,15 @@ def test_target_measure_requires_balance():
         TargetMeasure(AXIS_NORMALS, np.array([1.0, -1.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_rejected(bad):
+    weights = np.array([1.0, bad, 1.0, 1.0])
+    with pytest.raises(UnbalanceableMeasure):
+        project_balance(weights, AXIS_NORMALS)
+    with pytest.raises(InvariantViolation):
+        TargetMeasure(AXIS_NORMALS, weights)
+
+
 # ------------------------------------------------------------ objective
 
 

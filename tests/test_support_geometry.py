@@ -283,3 +283,15 @@ def test_polygon_from_dict_requires_ccw():
 def test_polygon_needs_three_vertices():
     with pytest.raises(InvariantViolation):
         Polygon.from_vertices([[0, 0], [1, 0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(InvariantViolation):
+        Polygon.from_vertices([[0, 0], [1, 0], [1, bad], [0, 1]])
+    with pytest.raises(InvariantViolation):
+        axis_support_spec([1.0, bad, 1.0, 1.0])
+    normals = angles_to_normals(np.deg2rad([-90, 0, 90, 180]))
+    normals[1, 0] = bad
+    with pytest.raises(InvariantViolation):
+        SupportSpec(normals, np.ones(4))

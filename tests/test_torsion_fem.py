@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from torsion_minkowski import (
-    InvariantViolation,
     LinearSolveFailure,
     PointOutside,
-    SolverOptions,
     check_sqrt_concavity,
     gradient_at,
     metrics,
@@ -16,6 +14,7 @@ from torsion_minkowski import (
     translate,
     triangulate,
 )
+from torsion_minkowski import torsion_fem
 from torsion_minkowski.verify_suite import polygon_corpus
 from conftest import SQUARE_COEFF
 
@@ -48,6 +47,37 @@ def test_estimator_gap_small(square_field, disk_field):
     for f in (square_field, disk_field):
         assert abs(f.tau_energy - f.tau_mass) <= 2.0 * f.estimator_gap * f.tau_energy + 1e-15
         assert f.estimator_gap < 1e-8
+
+
+def _reference_tau_mass(f):
+    # twice the area-weighted triangle means of u
+    areas = f.mesh.triangle_areas()
+    return float(2.0 * np.sum(areas * f.u[f.mesh.triangles].mean(axis=1)))
+
+
+def _reference_gradients(f):
+    # gradient of u on each triangle, written out vertex by vertex
+    m = f.mesh
+    a, b, c = (m.nodes[m.triangles[:, k]] for k in range(3))
+    ua, ub, uc = (f.u[m.triangles[:, k]] for k in range(3))
+    twice_area = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                  - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    gx = (ua * (b[:, 1] - c[:, 1]) + ub * (c[:, 1] - a[:, 1])
+          + uc * (a[:, 1] - b[:, 1])) / twice_area
+    gy = (ua * (c[:, 0] - b[:, 0]) + ub * (a[:, 0] - c[:, 0])
+          + uc * (b[:, 0] - a[:, 0])) / twice_area
+    return np.column_stack([gx, gy])
+
+
+def test_estimators_match_reference_formulas(square_field, disk_field):
+    corpus = [solve_on_polygon(p, 0.03 * metrics(p).circumradius)
+              for p in polygon_corpus(seed=42, count=2)]
+    for f in [square_field, disk_field] + corpus:
+        ref_mass = _reference_tau_mass(f)
+        assert abs(f.tau_mass - ref_mass) <= 1e-13 * ref_mass
+        ref_grads = _reference_gradients(f)
+        err = np.abs(f.triangle_gradients() - ref_grads).max()
+        assert err <= 1e-13 * np.abs(ref_grads).max()
 
 
 def test_estimator_gap_stays_at_solver_floor(square):
@@ -95,12 +125,8 @@ def test_monotonicity_under_inclusion():
         assert solve_on_polygon(inner, h).tau_energy < solve_on_polygon(p, h).tau_energy
 
 
-def test_cg_iteration_cap(square):
+def test_cg_iteration_cap(square, monkeypatch):
     mesh = triangulate(square, 0.1)
+    monkeypatch.setattr(torsion_fem, "MAX_CG_ITERS", 2)
     with pytest.raises(LinearSolveFailure):
-        solve_torsion(mesh, SolverOptions(max_cg_iters=2))
-
-
-def test_solver_options_validation():
-    with pytest.raises(InvariantViolation):
-        SolverOptions(linear_tol=1e-3)
+        solve_torsion(mesh)

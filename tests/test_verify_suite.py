@@ -102,7 +102,7 @@ def test_corpus_battery_50_polygons():
     # the full seeded battery: all three checks green over 50 bodies
     from torsion_minkowski import run_verify_corpus
 
-    reports = run_verify_corpus(seed=42, count=50, mesh_h=0.02)
+    reports = run_verify_corpus(seed=42, mesh_h=0.02)
     assert {r.name for r in reports} == {"brunn_minkowski", "continuity", "homogeneity"}
     for r in reports:
         assert r.ok, (r.name, r.failures, r.worst_margin)
