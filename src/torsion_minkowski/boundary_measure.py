@@ -110,11 +110,10 @@ def boundary_flux(f: TorsionField) -> np.ndarray:
     return out
 
 
-def _facet_weights(f: TorsionField, flux: np.ndarray | None = None) -> np.ndarray:
+def _facet_weights(f: TorsionField) -> np.ndarray:
     """Trapezoidal integral of flux^2 along each polygon facet."""
     mesh = f.mesh
-    g = boundary_flux(f) if flux is None else flux
-    g2 = g ** 2
+    g2 = boundary_flux(f) ** 2
     contrib = 0.5 * mesh.boundary_edge_lengths * (
         g2[mesh.boundary_edges[:, 0]] + g2[mesh.boundary_edges[:, 1]])
     weights = np.zeros(len(mesh.polygon))

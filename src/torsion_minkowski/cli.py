@@ -119,9 +119,10 @@ def parse_spec(path: str):
     """Read a problem spec: a polygon or a target measure.
 
     Polygon files carry a ``vertices`` field; target files carry
-    ``weights`` plus either ``normals`` or ``angles_deg``.  All module
-    invariants are enforced here, so downstream code sees typed,
-    validated objects.
+    ``weights`` plus either ``normals`` or ``angles_deg``.  The module
+    invariants are enforced by the constructors called here (the weights
+    by ``project_balance``), so downstream code sees typed, validated
+    objects.
     """
     data = _load_json(path)
     if "vertices" in data:
@@ -129,8 +130,6 @@ def parse_spec(path: str):
     if "weights" not in data:
         raise ParseError(f"{path}: expected a 'vertices' or 'weights' field")
     weights = _as_float_array(data["weights"], path, "weights")
-    if weights.ndim != 1 or np.any(weights <= 0):
-        raise InvariantViolation("weights must be a flat list of values > 0")
     if "normals" in data:
         normals = _as_float_array(data["normals"], path, "normals")
     elif "angles_deg" in data:
@@ -138,8 +137,6 @@ def parse_spec(path: str):
         normals = angles_to_normals(np.deg2rad(angles))
     else:
         raise ParseError(f"{path}: target needs 'normals' or 'angles_deg'")
-    if normals.ndim != 2 or normals.shape[0] != len(weights):
-        raise ParseError(f"{path}: normals and weights must have matching length")
     return project_balance(weights, normals)
 
 
@@ -189,7 +186,7 @@ def _cmd_torsion(config: RunConfig) -> int:
         "nodes": mesh.n_nodes,
         "triangles": mesh.n_triangles,
         "diagnostics": {
-            "area": m.area,
+            "area": mesh.polygon.area,
             "inradius": m.inradius,
             "circumradius": m.circumradius,
             "diameter": m.diameter,
@@ -223,20 +220,16 @@ def _cmd_solve(config: RunConfig) -> int:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{config.input_path}: malformed 'options': {exc}") from exc
     try:
-        report = solve_minkowski(target, opts)
+        report, message = solve_minkowski(target, opts), None
     except NoConvergence as exc:
-        if exc.report is not None:
-            _write_json(exc.report.to_dict(), config.output_path)
-            if config.log_path:
-                _write_log(exc.report, config.log_path)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        report, message = exc.report, f"error: {exc}"
     _write_json(report.to_dict(), config.output_path)
     if config.log_path:
         _write_log(report, config.log_path)
-    if not report.converged:
-        print(f"warning: solve did not converge (residual "
-              f"{report.residual_history[-1]:.3g})", file=sys.stderr)
+    if message is None and not report.converged:
+        message = f"warning: solve did not converge (residual {report.residual_history[-1]:.3g})"
+    if message is not None:
+        print(message, file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -27,6 +27,7 @@ from .support_geometry import Polygon, metrics
 NODE_CAP = 2_000_000  # triangulate and refine raise MeshTooFine above this
 SMOOTH_SWEEPS = 4
 MIN_ANGLE_DEG = 20.0  # smallest triangle angle check_mesh accepts
+LOCATE_CANDIDATES = 16  # nearest triangle centroids tried before a full scan
 
 
 @dataclass
@@ -66,10 +67,21 @@ class TriMesh:
         return np.unique(self.boundary_edges)
 
     def triangle_areas(self) -> np.ndarray:
-        return 0.5 * _p1_basis(self)[0]
+        return 0.5 * _p1_basis(self.nodes, self.triangles)[0]
 
-    def locate(self, points, k: int = 16) -> np.ndarray:
-        """Index of the triangle containing each query point (-1 outside).
+    def locate(self, points) -> np.ndarray:
+        """Index of the triangle containing each query point (-1 outside)."""
+        return self._locate(points)[0]
+
+    def barycentric(self, points):
+        """(triangle index, weights) for interior query points."""
+        tri_idx, weights = self._locate(points)
+        if np.any(tri_idx < 0):
+            raise PointOutside(f"{int((tri_idx < 0).sum())} query points outside the mesh")
+        return tri_idx, weights
+
+    def _locate(self, points):
+        """Containing triangle (-1 outside) and barycentric weights per point.
 
         Candidate triangles come from a KD-tree over centroids; points the
         candidates miss fall back to a full scan.
@@ -78,65 +90,56 @@ class TriMesh:
         if self._tree is None:
             cent = self.nodes[self.triangles].mean(axis=1)
             self._tree = cKDTree(cent)
-        k = min(k, self.n_triangles)
-        _, cand = self._tree.query(pts, k=k)
+        _, cand = self._tree.query(pts, k=min(LOCATE_CANDIDATES, self.n_triangles))
         cand = np.atleast_2d(cand)
         if cand.shape[0] != len(pts):
             cand = cand.T
         out = np.full(len(pts), -1, dtype=int)
+        weights = np.zeros((len(pts), 3))
         remaining = np.arange(len(pts))
         for col in range(cand.shape[1]):
             if len(remaining) == 0:
                 break
             tri_idx = cand[remaining, col]
-            ok = self._inside_triangles(pts[remaining], tri_idx)
+            ok, w = _barycentric(self.nodes, self.triangles[tri_idx], pts[remaining])
             out[remaining[ok]] = tri_idx[ok]
+            weights[remaining[ok]] = w
             remaining = remaining[~ok]
         for row in remaining:  # rare: scan everything
-            hit = np.flatnonzero(self._inside_triangles(
-                np.repeat(pts[row][None, :], self.n_triangles, axis=0),
-                np.arange(self.n_triangles)))
+            ok, w = _barycentric(self.nodes, self.triangles, pts[row][None, :])
+            hit = np.flatnonzero(ok)
             if len(hit):
                 out[row] = hit[0]
-        return out
-
-    def _inside_triangles(self, pts: np.ndarray, tri_idx: np.ndarray) -> np.ndarray:
-        tri = self.triangles[tri_idx]
-        a, b, c = self.nodes[tri[:, 0]], self.nodes[tri[:, 1]], self.nodes[tri[:, 2]]
-        tol = -1e-9 * np.abs(_cross(b - a, c - a))
-        return ((_cross(b - a, pts - a) >= tol)
-                & (_cross(c - b, pts - b) >= tol)
-                & (_cross(a - c, pts - c) >= tol))
-
-    def barycentric(self, points):
-        """(triangle index, weights) for interior query points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        tri_idx = self.locate(pts)
-        if np.any(tri_idx < 0):
-            raise PointOutside(f"{int((tri_idx < 0).sum())} query points outside the mesh")
-        tri = self.triangles[tri_idx]
-        a, b, c = self.nodes[tri[:, 0]], self.nodes[tri[:, 1]], self.nodes[tri[:, 2]]
-        twice_area = _cross(b - a, c - a)
-        w0 = _cross(b - pts, c - pts) / twice_area
-        w1 = _cross(c - pts, a - pts) / twice_area
-        w2 = 1.0 - w0 - w1
-        return tri_idx, np.column_stack([w0, w1, w2])
+                weights[row] = w[0]
+        return out, weights
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
-def _p1_basis(mesh: TriMesh):
+def _p1_basis(nodes: np.ndarray, triangles: np.ndarray):
     """P1 element geometry: (twice_area, gx, gy) per triangle.
 
     Row t of the (T, 3) arrays gx, gy holds the gradients of the three
-    barycentric basis functions of triangle t, scaled by its twice-area.
+    barycentric basis functions of triangle t, scaled by its twice-area,
+    which is signed: positive for a counterclockwise node triple.
     """
-    a, b, c = (mesh.nodes[mesh.triangles[:, k]] for k in range(3))
+    a, b, c = (nodes[triangles[:, k]] for k in range(3))
     gx = np.column_stack([b[:, 1] - c[:, 1], c[:, 1] - a[:, 1], a[:, 1] - b[:, 1]])
     gy = np.column_stack([c[:, 0] - b[:, 0], a[:, 0] - c[:, 0], b[:, 0] - a[:, 0]])
     return gx[:, 1] * gy[:, 2] - gx[:, 2] * gy[:, 1], gx, gy
+
+
+def _barycentric(nodes: np.ndarray, triangles: np.ndarray, pts: np.ndarray):
+    """Which points lie in their row's triangle, and their weights there.
+
+    Weight k vanishes on the edge opposite node k, which passes through
+    node k+1.  A point is inside when no twice-area-scaled weight falls
+    below -1e-9 times the twice-area.  Returns the inside mask and the
+    weights of the inside rows.
+    """
+    twice_area, gx, gy = _p1_basis(nodes, triangles)
+    d = pts[:, None, :] - nodes[np.roll(triangles, -1, axis=1)]
+    scaled = gx * d[..., 0] + gy * d[..., 1]
+    inside = np.all(scaled >= (-1e-9 * np.abs(twice_area))[:, None], axis=1)
+    return inside, scaled[inside] / twice_area[inside, None]
 
 
 def _boundary_samples(p: Polygon, spacing: float):
@@ -247,8 +250,7 @@ def triangulate(p: Polygon, target_h: float) -> TriMesh:
 
 def _orient(nodes: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     tris = simplices.copy()
-    a, b, c = nodes[tris[:, 0]], nodes[tris[:, 1]], nodes[tris[:, 2]]
-    flip = _cross(b - a, c - a) < 0
+    flip = _p1_basis(nodes, tris)[0] < 0
     tris[flip, 1], tris[flip, 2] = tris[flip, 2], tris[flip, 1]
     return tris
 

@@ -38,9 +38,11 @@ from .mesh import triangulate
 from .support_geometry import (
     Polygon,
     SupportSpec,
+    _check_directions,
     build_polytope,
     hausdorff_distance,
     metrics,
+    normal_angles,
     polygon_to_dict,
     steiner_point,
 )
@@ -84,16 +86,17 @@ class TargetMeasure:
 def project_balance(c_raw, normals) -> TargetMeasure:
     """Least-squares repair of the balance condition sum c_i X_i = 0.
 
-    Normals may arrive in any cyclic order; they are sorted by angle with
-    the weights permuted along.  The perturbation is the minimum-norm
-    one; if it exceeds 5% of any weight, or positivity is lost, the
-    datum is rejected.
+    Raw weights are checked here: one finite, strictly positive weight
+    per normal.  Normals may arrive in any cyclic order; they are sorted
+    by angle with the weights permuted along.  The perturbation is the
+    minimum-norm one; if it exceeds 5% of any weight, or positivity is
+    lost, the datum is rejected.
     """
+    normals = _check_directions(normals)
     c = np.asarray(c_raw, dtype=float)
-    if not np.all(np.isfinite(c) & (c > 0)):
-        raise UnbalanceableMeasure("weights must be finite and strictly positive")
-    normals = np.asarray(normals, dtype=float)
-    order = np.argsort(np.arctan2(normals[:, 1], normals[:, 0]))
+    if c.shape != (len(normals),) or not np.all(np.isfinite(c) & (c > 0)):
+        raise UnbalanceableMeasure("weights must be finite and strictly positive, one per normal")
+    order = np.argsort(normal_angles(normals))
     normals, c = normals[order], c[order]
     try:
         probe = SupportSpec(normals, np.ones(len(c)))
@@ -219,31 +222,23 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
 
     stage_scale = COARSE_MESH_FACTOR
     coarse_gate = max(3.0 * opts.tol, 0.03)
-    J_hist: list[float] = []
-    r_hist: list[float] = []
     log: list[dict] = []
     bounds = None
     step = None
     converged = False
+    failure = None  # message of a NoConvergence exit
     iters = 0
 
     ev = _eval(h, target, opts, stage_scale)
     while iters < opts.max_iters:
         m = metrics(ev.polygon)
+        log.append(_log_row(iters, ev, m, 0.0 if step is None else step))
         if bounds is None:
             bounds = (m.inradius / BOUNDS_SLACK, m.circumradius * BOUNDS_SLACK)
-        J_hist.append(ev.J)
-        r_hist.append(ev.residual)
-        log.append({
-            "iter": iters, "J": ev.J, "residual": ev.residual, "tau": ev.tau,
-            "inradius": m.inradius, "circumradius": m.circumradius,
-            "step": 0.0 if step is None else step,
-        })
         if not (bounds[0] <= m.inradius and m.circumradius <= bounds[1]):
-            raise NoConvergence(
-                f"iterate escaped a-priori bounds (inradius {m.inradius:.3g}, "
-                f"circumradius {m.circumradius:.3g})",
-                report=_report(h, ev, J_hist, r_hist, log, iters, False))
+            failure = (f"iterate escaped a-priori bounds (inradius {m.inradius:.3g}, "
+                       f"circumradius {m.circumradius:.3g})")
+            break
         gnorm = float(np.linalg.norm(ev.grad_J))
         gtol = opts.tol * ev.tau ** (-0.25) * float(np.linalg.norm(c))
         at_fine = stage_scale == 1.0
@@ -251,45 +246,40 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
         if at_fine and ev.residual <= opts.tol:
             converged = True
             break
-        if not at_fine and (ev.residual <= coarse_gate or gnorm <= 3.0 * gtol):
+        gate_met = not at_fine and (ev.residual <= coarse_gate or gnorm <= 3.0 * gtol)
+        accepted = None
+        if not gate_met:
+            # Line-search cap from the perturbation bound: a step below
+            # inradius / (2 max|direction|) keeps the trial body well inside
+            # its support-number envelope, so EmptyInterior cannot occur.
+            direction = -ev.grad_J
+            cap = m.inradius / (2.0 * float(np.abs(direction).max()))
+            step = cap if step is None else min(2.0 * step, cap)
+            for _ in range(25):
+                trial = h.with_values(h.values + step * direction)
+                try:
+                    trial_ev = _eval(trial, target, opts, stage_scale)
+                except EmptyInterior:
+                    step *= 0.5
+                    continue
+                if trial_ev.J <= ev.J - 5e-5 * step * gnorm ** 2:
+                    accepted = (trial, trial_ev)
+                    break
+                step *= 0.5
+        if accepted is not None:
+            h, ev = accepted
+            h = _recentred(h, ev.polygon)
+        elif at_fine:
+            break  # line search stalled at the discretization floor
+        else:  # coarse gate met or coarse line search stalled: go fine
             stage_scale = 1.0
             ev = _eval(h, target, opts, stage_scale)
-            iters += 1
-            continue
-
-        # Line-search cap from the perturbation bound: a step below
-        # inradius / (2 max|direction|) keeps the trial body well inside
-        # its support-number envelope, so EmptyInterior cannot occur.
-        direction = -ev.grad_J
-        cap = m.inradius / (2.0 * float(np.abs(direction).max()))
-        step = cap if step is None else min(2.0 * step, cap)
-        accepted = None
-        for _ in range(25):
-            trial = h.with_values(h.values + step * direction)
-            try:
-                trial_ev = _eval(trial, target, opts, stage_scale)
-            except EmptyInterior:
-                step *= 0.5
-                continue
-            if trial_ev.J <= ev.J - 5e-5 * step * gnorm ** 2:
-                accepted = (trial, trial_ev)
-                break
-            step *= 0.5
-        if accepted is None:
-            if not at_fine:
-                stage_scale = 1.0
-                ev = _eval(h, target, opts, stage_scale)
-                iters += 1
-                continue
-            break  # line search stalled at the discretization floor
-        h, ev = accepted
-        h = _recentred(h, ev.polygon)
         iters += 1
     else:
-        raise NoConvergence(
-            f"no convergence in {opts.max_iters} iterations "
-            f"(residual {ev.residual:.3g})",
-            report=_report(h, ev, J_hist, r_hist, log, iters, False))
+        failure = (f"no convergence in {opts.max_iters} iterations "
+                   f"(residual {ev.residual:.3g})")
+    if failure is not None:
+        raise NoConvergence(failure, report=_report(h, ev, log, iters, False))
 
     # Homogeneity rescale: mu scales with the cube of a dilation, so this
     # lands the stationary measure (4 tau / Phi) c on c itself.
@@ -298,13 +288,8 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     final = _eval(h, target, opts, 1.0, closure_budget=0.02)
     h = _recentred(h, final.polygon)
     converged = converged and final.residual <= opts.tol
-    J_hist.append(final.J)
-    r_hist.append(final.residual)
-    mfin = metrics(final.polygon)
-    log.append({"iter": iters, "J": final.J, "residual": final.residual,
-                "tau": final.tau, "inradius": mfin.inradius,
-                "circumradius": mfin.circumradius, "step": 0.0})
-    return _report(h, final, J_hist, r_hist, log, iters, converged)
+    log.append(_log_row(iters, final, metrics(final.polygon), 0.0))
+    return _report(h, final, log, iters, converged)
 
 
 def _eval(h: SupportSpec, target: TargetMeasure, opts: SolveOptions,
@@ -313,14 +298,21 @@ def _eval(h: SupportSpec, target: TargetMeasure, opts: SolveOptions,
     return objective(h, target, mesh_h, closure_budget=closure_budget)
 
 
-def _report(h, ev, J_hist, r_hist, log, iters, converged) -> SolveReport:
+def _log_row(iteration: int, ev: ObjectiveEval, m, step: float) -> dict:
+    """The record of one iterate: a CSV log row, and the source of the
+    report's objective and residual histories."""
+    return {"iter": iteration, "J": ev.J, "residual": ev.residual, "tau": ev.tau,
+            "inradius": m.inradius, "circumradius": m.circumradius, "step": step}
+
+
+def _report(h, ev, log, iters, converged) -> SolveReport:
     m = metrics(ev.polygon)
     return SolveReport(
         h_final=h,
         polygon=ev.polygon,
         mu_final=ev.mu,
-        objective_history=J_hist,
-        residual_history=r_hist,
+        objective_history=[row["J"] for row in log],
+        residual_history=[row["residual"] for row in log],
         multiplier_m=ev.J,
         iterations=iters,
         converged=converged,

@@ -109,8 +109,9 @@ class Polygon:
     """Strictly convex counterclockwise vertex cycle.
 
     ``facet_normals[i]`` is the outward unit normal of the edge from
-    ``vertices[i]`` to ``vertices[i+1]`` and ``facet_lengths[i]`` its
-    length; both are derived from the vertices.  ``source_index[i]``,
+    ``vertices[i]`` to ``vertices[i+1]``, ``facet_lengths[i]`` its length
+    and ``offsets[i]`` its support number; these and ``area`` are set
+    from the vertices at construction.  ``source_index[i]``,
     when present, is the index of the generating constraint in the
     SupportSpec the polygon was built from; it keeps measure vectors
     aligned with the optimizer's normal fan.
@@ -120,6 +121,8 @@ class Polygon:
     vertices: np.ndarray
     facet_normals: np.ndarray = field(init=False)
     facet_lengths: np.ndarray = field(init=False)
+    area: float = field(init=False)
+    offsets: np.ndarray = field(init=False)
     source_index: np.ndarray | None = None
     _metrics: PolygonMetrics | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -135,19 +138,23 @@ class Polygon:
             raise InvariantViolation("vertex cycle is not strictly convex counterclockwise")
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-        if 0.5 * np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]) <= 0:
+        area = 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
+        if area <= 0:
             raise InvariantViolation("polygon area must be positive")
+        offsets = np.einsum("ij,ij->i", normals, v)
         src = self.source_index
         if src is not None:
             src = np.ascontiguousarray(src, dtype=int)
             if src.shape != (len(v),):
                 raise InvariantViolation("source_index must map every facet")
             src.setflags(write=False)
-        for arr in (v, normals, lengths):
+        for arr in (v, normals, lengths, offsets):
             arr.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "facet_normals", normals)
         object.__setattr__(self, "facet_lengths", lengths)
+        object.__setattr__(self, "area", area)
+        object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "source_index", src)
 
     @classmethod
@@ -156,7 +163,9 @@ class Polygon:
         consecutive vertices and canonicalizing the starting vertex."""
         v = np.asarray(vertices, dtype=float)
         src = None if source_index is None else np.asarray(source_index)
-        tol = 1e-12 * max(1.0, float(np.abs(v).max()))
+        # Scaled by the finite coordinates only: an infinite one would
+        # make every gap a duplicate; the constructor rejects it instead.
+        tol = 1e-12 * float(np.abs(v[np.isfinite(v)]).max(initial=1.0))
         # When v[i] duplicates v[i-1] the zero-length edge is the one
         # leaving v[i-1], so drop the earlier vertex to keep the
         # edge-leaving-vertex source alignment intact.
@@ -178,22 +187,6 @@ class Polygon:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    @property
-    def area(self) -> float:
-        v = self.vertices
-        return 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
-
-    @property
-    def offsets(self) -> np.ndarray:
-        """Support numbers of the polygon on its own facet normals."""
-        return np.einsum("ij,ij->i", self.facet_normals, self.vertices)
-
-    def contains(self, points, tol: float = 1e-12) -> np.ndarray:
-        """Vectorized membership test (boundary counts as inside)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        margin = self.offsets[None, :] - pts @ self.facet_normals.T
-        return margin.min(axis=1) >= -tol
-
     def distance_to_boundary(self, points) -> np.ndarray:
         """Signed distance to the boundary (positive inside)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -201,9 +194,10 @@ class Polygon:
         return margin.min(axis=1)
 
 
-def regular_polygon(n: int, circumradius: float = 1.0, angle0: float = 0.0) -> Polygon:
-    """Regular n-gon with vertices on the circle of the given radius."""
-    theta = angle0 + 2.0 * np.pi * np.arange(n) / n
+def regular_polygon(n: int, circumradius: float = 1.0) -> Polygon:
+    """Regular n-gon with vertices on the circle of the given radius, the
+    first at angle 0."""
+    theta = 2.0 * np.pi * np.arange(n) / n
     return Polygon.from_vertices(circumradius * np.column_stack([np.cos(theta), np.sin(theta)]))
 
 
@@ -340,13 +334,13 @@ class PolygonMetrics:
     inradius: float
     circumradius: float
     centroid: np.ndarray
-    area: float
     incenter: np.ndarray
 
 
 def metrics(p: Polygon) -> PolygonMetrics:
     """Diameter, inradius (Chebyshev LP over the facet constraints),
-    circumradius about the area centroid, centroid and area.
+    circumradius about the area centroid, centroid and incenter.  The
+    area is not among them: it is ``p.area``, set at construction.
 
     Computed once per polygon: the result is kept on ``p``.
     """
@@ -356,8 +350,7 @@ def metrics(p: Polygon) -> PolygonMetrics:
     diffs = v[:, None, :] - v[None, :, :]
     diameter = float(np.sqrt((diffs ** 2).sum(axis=2).max()))
     cross = v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]
-    area = p.area
-    centroid = ((v + np.roll(v, -1, axis=0)) * cross[:, None]).sum(axis=0) / (6.0 * area)
+    centroid = ((v + np.roll(v, -1, axis=0)) * cross[:, None]).sum(axis=0) / (6.0 * p.area)
     # Chebyshev center: maximize r subject to <n_i, x> + r <= h_i.
     res = linprog(
         c=[0.0, 0.0, -1.0],
@@ -373,7 +366,7 @@ def metrics(p: Polygon) -> PolygonMetrics:
     centroid.setflags(write=False)
     incenter.setflags(write=False)
     object.__setattr__(p, "_metrics", PolygonMetrics(
-        diameter, inradius, circumradius, centroid, area, incenter))
+        diameter, inradius, circumradius, centroid, incenter))
     return p._metrics
 
 

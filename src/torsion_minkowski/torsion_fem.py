@@ -45,7 +45,7 @@ class TorsionField:
     def triangle_gradients(self) -> np.ndarray:
         """Piecewise-constant gradient of u, one row per triangle."""
         if self._tri_grads is None:
-            twice_area, gx, gy = _p1_basis(self.mesh)
+            twice_area, gx, gy = _p1_basis(self.mesh.nodes, self.mesh.triangles)
             ua, ub, uc = self.u[self.mesh.triangles].T
             self._tri_grads = np.column_stack([
                 (ua * gx[:, 0] + ub * gx[:, 1] + uc * gx[:, 2]) / twice_area,
@@ -65,7 +65,7 @@ def assemble(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray]:
     quadrature, which is exact for the constant right-hand side 2.
     """
     t = mesh.triangles
-    twice_area, gx, gy = _p1_basis(mesh)
+    twice_area, gx, gy = _p1_basis(mesh.nodes, t)
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):

@@ -25,11 +25,13 @@ from .errors import EmptyInterior, InvariantViolation
 from .support_geometry import (
     Polygon,
     SupportSpec,
+    _cyclic_gaps,
     angles_to_normals,
     build_polytope,
     hausdorff_distance,
     metrics,
     minkowski_sum,
+    normal_angles,
     regular_polygon,
     scale,
     support_spec_of,
@@ -43,6 +45,7 @@ HOMOGENEITY_TOL = 0.01
 MAX_ASPECT = 10.0 / 3.0  # corpus bodies have circumradius / inradius at most this
 HOMOTHETIC_TOL = 1e-9  # relative spread of support-number ratios for a homothet
 CORPUS_SIZE = 50  # bodies in the run_verify_corpus battery
+CONTINUITY_NOTE = "budget modulus tied to the mesh resolution, not a proven modulus of continuity"
 
 
 @dataclass
@@ -85,7 +88,7 @@ def _random_polygon(rng: np.random.Generator, max_facets: int) -> Polygon:
     while True:
         n = int(rng.integers(4, max_facets + 1))
         ang = np.sort(rng.uniform(-np.pi, np.pi, n))
-        gaps = np.append(np.diff(ang), ang[0] + 2.0 * np.pi - ang[-1])
+        gaps = _cyclic_gaps(ang)
         if gaps.min() < 0.15 or gaps.max() >= 0.95 * np.pi:
             continue
         values = rng.uniform(0.7, 1.3, n)
@@ -119,8 +122,7 @@ def is_homothetic(p: Polygon, q: Polygon) -> bool:
     if len(p) != len(q):
         return False
     sp, sq = support_spec_of(p), support_spec_of(q)
-    ap = np.arctan2(sp.normals[:, 1], sp.normals[:, 0])
-    aq = np.arctan2(sq.normals[:, 1], sq.normals[:, 0])
+    ap, aq = normal_angles(sp.normals), normal_angles(sq.normals)
     roll = None
     for r0 in range(len(aq)):
         d = (np.roll(aq, -r0) - ap + np.pi) % (2.0 * np.pi) - np.pi
@@ -208,9 +210,8 @@ def continuity_check(p: Polygon, perturbation_scale: float, trials: int,
         details.append({"trial": k, "hausdorff": float(d_h),
                         "delta_tau1": float(d_tau1), "ratio": float(ratio),
                         "pass": not bad})
-    return CheckReport(
-        "continuity", trials, failures, float(worst), details,
-        note="budget modulus tied to the mesh resolution, not a proven modulus of continuity")
+    return CheckReport("continuity", trials, failures, float(worst), details,
+                       note=CONTINUITY_NOTE)
 
 
 def homogeneity_check(p: Polygon, scales, mesh_h: float = 0.02) -> CheckReport:
@@ -252,9 +253,7 @@ def run_verify_corpus(seed: int = 42, mesh_h: float = 0.02) -> list[CheckReport]
     """
     corpus = polygon_corpus(seed, CORPUS_SIZE)
     bm = CheckReport("brunn_minkowski", 0, 0, np.inf, [])
-    cont = CheckReport(
-        "continuity", 0, 0, 0.0, [],
-        note="budget modulus tied to the mesh resolution, not a proven modulus of continuity")
+    cont = CheckReport("continuity", 0, 0, 0.0, [], note=CONTINUITY_NOTE)
     homo = CheckReport("homogeneity", 0, 0, 0.0, [])
     for k, p in enumerate(corpus):
         r_h = homogeneity_check(p, [2.0], mesh_h)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from torsion_minkowski import (
+    Polygon,
     SupportSpec,
     UnbalanceableMeasure,
     angles_to_normals,
@@ -21,6 +22,13 @@ def axis_support_spec(values) -> SupportSpec:
     """Spec over the four axis normals, angle-sorted (-y, +x, +y, -x)."""
     return SupportSpec(angles_to_normals(np.deg2rad(AXIS_ANGLES_DEG)),
                        np.asarray(values, dtype=float))
+
+
+def turned_octagon() -> Polygon:
+    """Unit regular octagon with its first vertex at angle pi/8, so its
+    facet normals include the four axis directions."""
+    theta = np.pi / 8 + 2.0 * np.pi * np.arange(8) / 8
+    return Polygon.from_vertices(angles_to_normals(theta))
 
 
 def square_torsion_coefficient(n_terms: int = 400) -> float:

@@ -15,7 +15,6 @@ from torsion_minkowski import (
     metrics,
     mixed_torsion,
     refine,
-    regular_polygon,
     representation_residual,
     scale,
     solve_on_polygon,
@@ -26,7 +25,7 @@ from torsion_minkowski import (
     triangulate,
 )
 from torsion_minkowski.cli import main
-from conftest import SQUARE_COEFF
+from conftest import SQUARE_COEFF, turned_octagon
 
 
 # ------------------------------------------------------------------ flux
@@ -187,7 +186,7 @@ def test_hadamard_self_pair_square(axis_spec):
 
 
 def test_hadamard_square_octagon(axis_spec):
-    oct_spec = support_spec_of(regular_polygon(8, 1.0, np.pi / 8))
+    oct_spec = support_spec_of(turned_octagon())
     rep = hadamard_fd_check(axis_spec, oct_spec, [0.02, 0.01, 0.005], mesh_h=0.03)
     assert rep.mismatches[-1] < 0.02
     assert rep.monotone_tail

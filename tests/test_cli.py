@@ -162,6 +162,25 @@ def test_non_finite_input_exit_code(tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
+def test_bad_weights_share_one_error_type(tmp_path, capsys):
+    w = 0.28113
+    cases = {
+        "zero": [w, 0.0, w, w],
+        "negative": [w, -w, w, w],
+        "nan": [w, float("nan"), w, w],
+        "column": [[w]] * 4,
+    }
+    kinds = set()
+    for name, weights in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"angles_deg": [0, 90, 180, 270], "weights": weights}))
+        assert main(["solve", "--input", str(path)]) == 1, name
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (name, lines)
+        kinds.add(lines[0].split(":")[1].strip())
+    assert kinds == {"UnbalanceableMeasure"}
+
+
 def test_missing_input_file_exit_code(capsys):
     code = main(["torsion", "--input", "/nonexistent/file.json"])
     assert code == 1

@@ -98,6 +98,56 @@ def test_locate_and_outside(square_mesh):
         square_mesh.barycentric(outside)
 
 
+def _cross(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _reference_inside(m, pts, tri_idx):
+    """Edge-side test of each point against its triangle, tolerance
+    1e-9 times the twice-area."""
+    a, b, c = (m.nodes[m.triangles[tri_idx, k]] for k in range(3))
+    tol = -1e-9 * np.abs(_cross(b - a, c - a))
+    return ((_cross(b - a, pts - a) >= tol)
+            & (_cross(c - b, pts - b) >= tol)
+            & (_cross(a - c, pts - c) >= tol))
+
+
+def _reference_weights(m, pts, tri_idx):
+    a, b, c = (m.nodes[m.triangles[tri_idx, k]] for k in range(3))
+    twice_area = _cross(b - a, c - a)
+    w0 = _cross(b - pts, c - pts) / twice_area
+    w1 = _cross(c - pts, a - pts) / twice_area
+    return np.column_stack([w0, w1, 1.0 - w0 - w1])
+
+
+def test_point_location_matches_reference(square_mesh):
+    rng = np.random.default_rng(3)
+    p = polygon_corpus(42, 1)[0]
+    meshes = [square_mesh, refine(square_mesh),
+              triangulate(p, 0.05 * metrics(p).circumradius)]
+    for m in meshes:
+        tri = m.nodes[m.triangles]
+        pick = rng.integers(m.n_triangles, size=200)
+        w = rng.dirichlet(np.ones(3), size=200)
+        interior = np.einsum("ij,ijk->ik", w, tri[pick])
+        t = rng.random((200, 1))
+        edge = (1.0 - t) * tri[pick, 0] + t * tri[pick, 1]
+        inside = np.vstack([interior, m.nodes, edge])
+        idx = m.locate(inside)
+        assert np.all(idx >= 0)
+        assert np.all(_reference_inside(m, inside, idx))
+        got_idx, got_w = m.barycentric(inside)
+        assert np.array_equal(got_idx, idx)
+        assert np.abs(got_w - _reference_weights(m, inside, idx)).max() <= 1e-13
+
+        lo, hi = m.polygon.vertices.min(axis=0), m.polygon.vertices.max(axis=0)
+        span = hi - lo
+        cloud = lo - span + 3.0 * span * rng.random((400, 2))
+        outside = cloud[m.polygon.distance_to_boundary(cloud) < -0.05 * m.target_h]
+        assert len(outside) > 100
+        assert np.all(m.locate(outside) == -1)
+
+
 def _turned(p, angle):
     c, s = np.cos(angle), np.sin(angle)
     return Polygon.from_vertices(p.vertices @ np.array([[c, s], [-s, c]]))
