@@ -10,10 +10,12 @@ solve     read a target-measure spec, run the inverse solver, write the
 verify    run the seeded verification corpus and write the summary
 hadamard  finite-difference check of the derivative formula for two bodies
 
-Each subcommand takes only the flags it reads (``SUBCOMMAND_FLAGS``).
-Mesh resolutions on the command line are relative to each body's
-circumradius.  Exit status: 0 success, 1 validation or usage error,
-2 numerical failure, 3 non-convergence (partial report still written).
+Each subcommand takes only the flags it reads (``SUBCOMMAND_FLAGS``)
+and passes on only the flags given, so each setting's default and check
+live in the library.  Mesh resolutions on the command line are relative
+to each body's circumradius.  Exit status: 0 success, 1 validation or
+usage error, 2 numerical failure, 3 non-convergence (partial report
+still written).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +33,9 @@ from .errors import (
     ParseError,
     TorsionMinkowskiError,
 )
+from .mesh import REL_MESH_H
 from .minkowski_solver import (
     SolveOptions,
-    SolveReport,
     TargetMeasure,
     project_balance,
     solve_minkowski,
@@ -49,8 +50,8 @@ EXIT_NUMERICAL = 2
 EXIT_NO_CONVERGENCE = 3
 
 LOG_COLUMNS = ("iter", "J", "residual", "tau", "inradius", "circumradius", "step")
+SOLVE_OPTIONS = ("mesh_h", "tol", "max_iters")  # settable by a flag or the target file
 
-# Defaults live in RunConfig.
 FLAGS = {
     "--input": {"dest": "input_path", "metavar": "FILE", "required": True,
                 "help": "input JSON file"},
@@ -69,26 +70,6 @@ SUBCOMMAND_FLAGS = {
     "verify": ("--output", "--mesh-h", "--seed", "--log"),
     "hadamard": ("--input", "--output", "--mesh-h"),
 }
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    input_path: str | None = None
-    output_path: str | None = None
-    mesh_h: float = 0.02
-    tol: float = 1e-2
-    max_iters: int = 120
-    seed: int = 42
-    log_path: str | None = None
-
-    def __post_init__(self):
-        if self.subcommand not in SUBCOMMAND_FLAGS:
-            raise InvariantViolation(f"unknown subcommand {self.subcommand!r}")
-        if self.subcommand != "verify" and not self.input_path:
-            raise InvariantViolation(f"subcommand {self.subcommand!r} needs --input")
-        if not (self.mesh_h > 0 and self.tol > 0 and self.max_iters > 0):  # NaN fails too
-            raise InvariantViolation("numeric options must be positive")
 
 
 def _load_json(path: str) -> dict:
@@ -111,22 +92,29 @@ def _as_float_array(values, path: str, field_name: str) -> np.ndarray:
         raise ParseError(f"{path}: field '{field_name}' must be numeric") from exc
 
 
-def _parse_polygon(vertices, path: str, field_name: str) -> Polygon:
-    return Polygon.from_vertices(_as_float_array(vertices, path, field_name))
+def _parse_polygon(obj, path: str, field_name: str) -> Polygon:
+    """The polygon object ``{"vertices": [[x, y], ...]}`` at field
+    ``field_name`` of a file (``""`` for the whole file)."""
+    if not isinstance(obj, dict) or "vertices" not in obj:
+        raise ParseError(f"{path}: '{field_name}' must be a polygon object")
+    prefix = f"{field_name}." if field_name else ""
+    return Polygon.from_vertices(_as_float_array(obj["vertices"], path, prefix + "vertices"))
 
 
 def parse_spec(path: str):
-    """Read a problem spec: a polygon or a target measure.
+    """Read a problem spec file: a polygon or a target measure."""
+    return _spec_from(_load_json(path), path)
 
-    Polygon files carry a ``vertices`` field; target files carry
+
+def _spec_from(data: dict, path: str):
+    """Polygon files carry a ``vertices`` field; target files carry
     ``weights`` plus either ``normals`` or ``angles_deg``.  The module
     invariants are enforced by the constructors called here (the weights
     by ``project_balance``), so downstream code sees typed, validated
     objects.
     """
-    data = _load_json(path)
     if "vertices" in data:
-        return _parse_polygon(data["vertices"], path, "vertices")
+        return _parse_polygon(data, path, "")
     if "weights" not in data:
         raise ParseError(f"{path}: expected a 'vertices' or 'weights' field")
     weights = _as_float_array(data["weights"], path, "weights")
@@ -140,11 +128,20 @@ def parse_spec(path: str):
     return project_balance(weights, normals)
 
 
-def _spec_options(path: str) -> dict:
-    opts = _load_json(path).get("options", {})
+def _file_options(data: dict, path: str) -> dict:
+    """A target file's ``options``, each converted by its flag's type."""
+    opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise ParseError(f"{path}: 'options' must be an object")
-    return opts
+    unknown = sorted(set(opts) - set(SOLVE_OPTIONS))
+    if unknown:
+        raise ParseError(f"{path}: unknown key(s) {', '.join(unknown)} in 'options' "
+                         f"(accepted: {', '.join(SOLVE_OPTIONS)})")
+    try:
+        return {key: FLAGS["--" + key.replace("_", "-")]["type"](value)
+                for key, value in opts.items()}
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed 'options': {exc}") from exc
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -156,28 +153,23 @@ def _write_json(payload: dict, path: str | None) -> None:
         print(text)
 
 
-def _write_log(report: SolveReport, path: str) -> None:
-    rows = [",".join(LOG_COLUMNS)]
-    for rec in report.diagnostics.get("iterations_log", []):
-        rows.append(",".join(
-            str(rec["iter"]) if col == "iter" else f"{rec[col]:.12g}"
-            for col in LOG_COLUMNS))
+def _write_csv(path: str, columns, rows) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("\n".join([",".join(columns), *rows]) + "\n")
 
 
-def _solve_input_polygon(config: RunConfig):
+def _solve_input_polygon(args: dict):
     """Parse the input polygon and solve its torsion problem at the
-    configured relative spacing; returns (metrics, field)."""
-    body = parse_spec(config.input_path)
+    given relative spacing; returns (metrics, field)."""
+    body = parse_spec(args["input_path"])
     if not isinstance(body, Polygon):
-        raise InvariantViolation(f"'{config.subcommand}' expects a polygon input")
+        raise InvariantViolation(f"'{args['subcommand']}' expects a polygon input")
     m = metrics(body)
-    return m, solve_on_polygon(body, config.mesh_h * m.circumradius)
+    return m, solve_on_polygon(body, args.get("mesh_h", REL_MESH_H) * m.circumradius)
 
 
-def _cmd_torsion(config: RunConfig) -> int:
-    m, field = _solve_input_polygon(config)
+def _cmd_torsion(args: dict) -> int:
+    m, field = _solve_input_polygon(args)
     mesh = field.mesh
     _write_json({
         "tau_energy": field.tau_energy,
@@ -190,42 +182,40 @@ def _cmd_torsion(config: RunConfig) -> int:
             "inradius": m.inradius,
             "circumradius": m.circumradius,
             "diameter": m.diameter,
-            "centroid": m.centroid.tolist(),
+            "centroid": mesh.polygon.centroid.tolist(),
         },
-    }, config.output_path)
+    }, args.get("output_path"))
     return EXIT_OK
 
 
-def _cmd_measure(config: RunConfig) -> int:
-    _, field = _solve_input_polygon(config)
+def _cmd_measure(args: dict) -> int:
+    _, field = _solve_input_polygon(args)
     mu = bm.facet_measure(field)
     payload = mu.to_dict()
     payload["total_mass"] = mu.total_mass
     payload["closure_defect"] = mu.closure_defect
-    _write_json(payload, config.output_path)
+    _write_json(payload, args.get("output_path"))
     return EXIT_OK
 
 
-def _cmd_solve(config: RunConfig) -> int:
-    target = parse_spec(config.input_path)
+def _cmd_solve(args: dict) -> int:
+    path = args["input_path"]
+    data = _load_json(path)
+    target = _spec_from(data, path)
     if not isinstance(target, TargetMeasure):
         raise InvariantViolation("'solve' expects a target-measure input")
-    file_opts = _spec_options(config.input_path)
+    opts = {key: args[key] for key in SOLVE_OPTIONS if key in args}
+    opts.update(_file_options(data, path))  # file options take precedence
     try:
-        opts = SolveOptions(
-            mesh_h=float(file_opts.get("mesh_h", config.mesh_h)),
-            tol=float(file_opts.get("tol", config.tol)),
-            max_iters=int(file_opts.get("max_iters", config.max_iters)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{config.input_path}: malformed 'options': {exc}") from exc
-    try:
-        report, message = solve_minkowski(target, opts), None
+        report, message = solve_minkowski(target, SolveOptions(**opts)), None
     except NoConvergence as exc:
         report, message = exc.report, f"error: {exc}"
-    _write_json(report.to_dict(), config.output_path)
-    if config.log_path:
-        _write_log(report, config.log_path)
+    _write_json(report.to_dict(), args.get("output_path"))
+    if args.get("log_path"):
+        _write_csv(args["log_path"], LOG_COLUMNS, (
+            ",".join(str(rec["iter"]) if col == "iter" else f"{rec[col]:.12g}"
+                     for col in LOG_COLUMNS)
+            for rec in report.diagnostics["iterations_log"]))
     if message is None and not report.converged:
         message = f"warning: solve did not converge (residual {report.residual_history[-1]:.3g})"
     if message is not None:
@@ -234,33 +224,24 @@ def _cmd_solve(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    reports = run_verify_corpus(seed=config.seed, mesh_h=config.mesh_h)
+def _cmd_verify(args: dict) -> int:
+    given = {key: args[key] for key in ("seed", "mesh_h") if key in args}
+    reports = run_verify_corpus(**given)
     payload = {"checks": [r.to_dict() for r in reports],
                "pass": all(r.ok for r in reports)}
-    _write_json(payload, config.output_path)
-    if config.log_path:
-        rows = ["name,trials,failures,worst_margin"]
-        rows += [r.csv_row() for r in reports]
-        with open(config.log_path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+    _write_json(payload, args.get("output_path"))
+    if args.get("log_path"):
+        _write_csv(args["log_path"], ("name", "trials", "failures", "worst_margin"),
+                   (r.csv_row() for r in reports))
     return EXIT_OK if payload["pass"] else EXIT_NUMERICAL
 
 
-def _cmd_hadamard(config: RunConfig) -> int:
-    data = _load_json(config.input_path)
-    bodies = {}
-    for key in ("body", "body_prime"):
-        if key not in data:
-            raise ParseError(f"{config.input_path}: missing '{key}'")
-        obj = data[key]
-        if not isinstance(obj, dict) or "vertices" not in obj:
-            raise ParseError(f"{config.input_path}: '{key}' must be a polygon object")
-        bodies[key] = _parse_polygon(obj["vertices"], config.input_path, f"{key}.vertices")
-    body, body_prime = bodies["body"], bodies["body_prime"]
-    s_values = _as_float_array(data.get("s_values", [0.02, 0.01, 0.005]),
-                               config.input_path, "s_values")
-    mesh_h = config.mesh_h * metrics(body).circumradius
+def _cmd_hadamard(args: dict) -> int:
+    path = args["input_path"]
+    data = _load_json(path)
+    body, body_prime = (_parse_polygon(data.get(key), path, key) for key in ("body", "body_prime"))
+    s_values = _as_float_array(data.get("s_values", [0.02, 0.01, 0.005]), path, "s_values")
+    mesh_h = args.get("mesh_h", REL_MESH_H) * metrics(body).circumradius
     rep = bm.hadamard_fd_check(support_spec_of(body), support_spec_of(body_prime),
                                s_values, mesh_h=mesh_h)
     _write_json({
@@ -271,12 +252,16 @@ def _cmd_hadamard(config: RunConfig) -> int:
         "extrapolated_quotient": rep.extrapolated_quotient,
         "extrapolated_mismatch": rep.extrapolated_mismatch,
         "monotone_tail": rep.monotone_tail,
-    }, config.output_path)
+    }, args.get("output_path"))
     return EXIT_OK
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one subcommand and map errors onto exit statuses."""
+def run(args: dict) -> int:
+    """Dispatch one subcommand and map errors onto exit statuses.
+
+    ``args`` maps ``subcommand`` and the ``dest`` of each flag given on
+    the command line to its value; flags not given are absent.
+    """
     handlers = {
         "torsion": _cmd_torsion,
         "measure": _cmd_measure,
@@ -285,7 +270,7 @@ def run(config: RunConfig) -> int:
         "hadamard": _cmd_hadamard,
     }
     try:
-        return handlers[config.subcommand](config)
+        return handlers[args["subcommand"]](args)
     except (ParseError, InvariantViolation) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -308,12 +293,7 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
-    try:
-        config = RunConfig(**vars(ns))
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return run(config)
+    return run(vars(ns))
 
 
 if __name__ == "__main__":

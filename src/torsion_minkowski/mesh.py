@@ -25,6 +25,7 @@ from .errors import InvariantViolation, MeshTooFine, PointOutside
 from .support_geometry import Polygon, metrics
 
 NODE_CAP = 2_000_000  # triangulate and refine raise MeshTooFine above this
+REL_MESH_H = 0.02  # default spacing relative to a body's circumradius (solver, verify checks, CLI)
 SMOOTH_SWEEPS = 4
 MIN_ANGLE_DEG = 20.0  # smallest triangle angle check_mesh accepts
 LOCATE_CANDIDATES = 16  # nearest triangle centroids tried before a full scan
@@ -224,7 +225,7 @@ def triangulate(p: Polygon, target_h: float) -> TriMesh:
     target_h : float
         Interior spacing target.  Boundary spacing is target_h / 2.
     """
-    if target_h <= 0:
+    if not target_h > 0:  # NaN fails too
         raise InvariantViolation("target_h must be positive")
     inradius = metrics(p).inradius
     if target_h >= inradius:

@@ -34,7 +34,7 @@ from .errors import (
     UnbalanceableMeasure,
     UnboundedBody,
 )
-from .mesh import triangulate
+from .mesh import REL_MESH_H, triangulate
 from .support_geometry import (
     Polygon,
     SupportSpec,
@@ -135,18 +135,19 @@ class ObjectiveEval:
     residual: float
 
 
-def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float,
-              closure_budget: float = np.inf) -> ObjectiveEval:
+def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float) -> ObjectiveEval:
     """Evaluate J, its exact gradient, tau and the measure at B[h].
 
     ``mesh_h`` is an absolute mesh spacing.  grad_J_i combines the weight
-    c_i with the measure weight mu_i, which is d tau / d h_i.
+    c_i with the measure weight mu_i, which is d tau / d h_i.  The
+    measure's closure is not checked here: descent iterates may be
+    coarse, and ``solve_minkowski`` checks its final measure.
     """
     c = target.weights
     polygon = build_polytope(h)
     mesh = triangulate(polygon, mesh_h)
     fld = solve_torsion(mesh)
-    mu = torsion_measure(fld, h, budget=closure_budget)
+    mu = torsion_measure(fld, h, budget=np.inf)
     tau = fld.tau_energy
     phi = float(c @ h.values)
     J = phi * tau ** (-0.25)
@@ -164,7 +165,7 @@ class SolveOptions:
     whole solve is equivariant under dilations of the target.
     """
 
-    mesh_h: float = 0.02
+    mesh_h: float = REL_MESH_H
     tol: float = 1e-2
     max_iters: int = 120
     init_values: np.ndarray | None = None
@@ -285,7 +286,8 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     # lands the stationary measure (4 tau / Phi) c on c itself.
     s = (ev.phi / (4.0 * ev.tau)) ** (1.0 / 3.0)
     h = h.with_values(s * h.values)
-    final = _eval(h, target, opts, 1.0, closure_budget=0.02)
+    final = _eval(h, target, opts, 1.0)
+    final.mu.validate()
     h = _recentred(h, final.polygon)
     converged = converged and final.residual <= opts.tol
     log.append(_log_row(iters, final, metrics(final.polygon), 0.0))
@@ -293,9 +295,9 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
 
 
 def _eval(h: SupportSpec, target: TargetMeasure, opts: SolveOptions,
-          stage_scale: float, closure_budget: float = np.inf) -> ObjectiveEval:
+          stage_scale: float) -> ObjectiveEval:
     mesh_h = opts.mesh_h * stage_scale * metrics(build_polytope(h)).circumradius
-    return objective(h, target, mesh_h, closure_budget=closure_budget)
+    return objective(h, target, mesh_h)
 
 
 def _log_row(iteration: int, ev: ObjectiveEval, m, step: float) -> dict:

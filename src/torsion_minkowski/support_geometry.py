@@ -110,11 +110,11 @@ class Polygon:
 
     ``facet_normals[i]`` is the outward unit normal of the edge from
     ``vertices[i]`` to ``vertices[i+1]``, ``facet_lengths[i]`` its length
-    and ``offsets[i]`` its support number; these and ``area`` are set
-    from the vertices at construction.  ``source_index[i]``,
-    when present, is the index of the generating constraint in the
-    SupportSpec the polygon was built from; it keeps measure vectors
-    aligned with the optimizer's normal fan.
+    and ``offsets[i]`` its support number; these, ``area`` and the area
+    ``centroid`` are set from the vertices at construction.
+    ``source_index[i]``, when present, is the index of the generating
+    constraint in the SupportSpec the polygon was built from; it keeps
+    measure vectors aligned with the optimizer's normal fan.
     ``metrics`` keeps its result on the polygon.
     """
 
@@ -122,6 +122,7 @@ class Polygon:
     facet_normals: np.ndarray = field(init=False)
     facet_lengths: np.ndarray = field(init=False)
     area: float = field(init=False)
+    centroid: np.ndarray = field(init=False)
     offsets: np.ndarray = field(init=False)
     source_index: np.ndarray | None = None
     _metrics: PolygonMetrics | None = field(default=None, init=False, repr=False, compare=False)
@@ -138,9 +139,11 @@ class Polygon:
             raise InvariantViolation("vertex cycle is not strictly convex counterclockwise")
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-        area = 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
+        shoelace = v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]
+        area = 0.5 * float(np.sum(shoelace))
         if area <= 0:
             raise InvariantViolation("polygon area must be positive")
+        centroid = ((v + np.roll(v, -1, axis=0)) * shoelace[:, None]).sum(axis=0) / (6.0 * area)
         offsets = np.einsum("ij,ij->i", normals, v)
         src = self.source_index
         if src is not None:
@@ -148,12 +151,13 @@ class Polygon:
             if src.shape != (len(v),):
                 raise InvariantViolation("source_index must map every facet")
             src.setflags(write=False)
-        for arr in (v, normals, lengths, offsets):
+        for arr in (v, normals, lengths, centroid, offsets):
             arr.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "facet_normals", normals)
         object.__setattr__(self, "facet_lengths", lengths)
         object.__setattr__(self, "area", area)
+        object.__setattr__(self, "centroid", centroid)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "source_index", src)
 
@@ -333,14 +337,14 @@ class PolygonMetrics:
     diameter: float
     inradius: float
     circumradius: float
-    centroid: np.ndarray
     incenter: np.ndarray
 
 
 def metrics(p: Polygon) -> PolygonMetrics:
     """Diameter, inradius (Chebyshev LP over the facet constraints),
-    circumradius about the area centroid, centroid and incenter.  The
-    area is not among them: it is ``p.area``, set at construction.
+    circumradius about the area centroid, and incenter.  The area and
+    the centroid are not among them: they are ``p.area`` and
+    ``p.centroid``, set at construction.
 
     Computed once per polygon: the result is kept on ``p``.
     """
@@ -349,8 +353,6 @@ def metrics(p: Polygon) -> PolygonMetrics:
     v = p.vertices
     diffs = v[:, None, :] - v[None, :, :]
     diameter = float(np.sqrt((diffs ** 2).sum(axis=2).max()))
-    cross = v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]
-    centroid = ((v + np.roll(v, -1, axis=0)) * cross[:, None]).sum(axis=0) / (6.0 * p.area)
     # Chebyshev center: maximize r subject to <n_i, x> + r <= h_i.
     res = linprog(
         c=[0.0, 0.0, -1.0],
@@ -362,11 +364,9 @@ def metrics(p: Polygon) -> PolygonMetrics:
     if not res.success:
         raise InvariantViolation(f"inradius LP failed: {res.message}")
     incenter, inradius = res.x[:2], float(res.x[2])
-    circumradius = float(np.sqrt(((v - centroid) ** 2).sum(axis=1).max()))
-    centroid.setflags(write=False)
+    circumradius = float(np.sqrt(((v - p.centroid) ** 2).sum(axis=1).max()))
     incenter.setflags(write=False)
-    object.__setattr__(p, "_metrics", PolygonMetrics(
-        diameter, inradius, circumradius, centroid, incenter))
+    object.__setattr__(p, "_metrics", PolygonMetrics(diameter, inradius, circumradius, incenter))
     return p._metrics
 
 
@@ -415,9 +415,3 @@ def steiner_point(p: Polygon) -> np.ndarray:
 def polygon_to_dict(p: Polygon) -> dict:
     """JSON-ready form: {"vertices": [[x, y], ...]} counterclockwise."""
     return {"vertices": [[float(x), float(y)] for x, y in p.vertices]}
-
-
-def polygon_from_dict(data: dict) -> Polygon:
-    if "vertices" not in data:
-        raise InvariantViolation("polygon object must have a 'vertices' field")
-    return Polygon.from_vertices(np.asarray(data["vertices"], dtype=float))

@@ -11,7 +11,7 @@ Mesh resolutions passed to these checks are relative to each body's
 circumradius, matching the CLI convention.  The pass thresholds (the
 Brunn-Minkowski slack and equality tolerance, the continuity modulus
 factor, the homogeneity tolerance) are module constants sized for the
-default resolution 0.02.
+default resolution ``mesh.REL_MESH_H``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from .boundary_measure import facet_measure, mixed_torsion
 from .errors import EmptyInterior, InvariantViolation
+from .mesh import REL_MESH_H
 from .support_geometry import (
     Polygon,
     SupportSpec,
@@ -103,6 +104,8 @@ def _random_polygon(rng: np.random.Generator, max_facets: int) -> Polygon:
 
 
 def polygon_corpus(seed: int, count: int, max_facets: int = 10) -> list[Polygon]:
+    if seed < 0:
+        raise InvariantViolation(f"corpus seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     return [_random_polygon(rng, max_facets) for _ in range(count)]
 
@@ -133,14 +136,14 @@ def is_homothetic(p: Polygon, q: Polygon) -> bool:
         return False
     vq = np.roll(sq.values, -roll)
     nq = np.roll(sq.normals, -roll, axis=0)
-    ratios = vq - nq @ metrics(q).centroid
-    base = sp.values - sp.normals @ metrics(p).centroid
+    ratios = vq - nq @ q.centroid
+    base = sp.values - sp.normals @ p.centroid
     r = ratios / base
     return bool(np.all(np.abs(r - r.mean()) <= HOMOTHETIC_TOL * max(1.0, abs(r.mean()))))
 
 
 def brunn_minkowski_check(p0: Polygon, p1: Polygon, t_grid,
-                          mesh_h: float = 0.02) -> CheckReport:
+                          mesh_h: float = REL_MESH_H) -> CheckReport:
     """Fourth-root concavity of the rigidity along a Minkowski segment.
 
     For each t the combination (1-t) p0 + t p1 must satisfy the concavity
@@ -172,7 +175,7 @@ def brunn_minkowski_check(p0: Polygon, p1: Polygon, t_grid,
 
 
 def continuity_check(p: Polygon, perturbation_scale: float, trials: int,
-                     mesh_h: float = 0.02, rng_seed: int = 42) -> CheckReport:
+                     mesh_h: float = REL_MESH_H, rng_seed: int = 42) -> CheckReport:
     """Response of the mixed rigidity to support-number perturbations.
 
     The comparison body is the unit disk (support function 1), so the
@@ -214,7 +217,7 @@ def continuity_check(p: Polygon, perturbation_scale: float, trials: int,
                        note=CONTINUITY_NOTE)
 
 
-def homogeneity_check(p: Polygon, scales, mesh_h: float = 0.02) -> CheckReport:
+def homogeneity_check(p: Polygon, scales, mesh_h: float = REL_MESH_H) -> CheckReport:
     """Dilation homogeneity: tau scales with the 4th power, the mixed
     rigidity against a fixed comparison octagon with the 3rd."""
     scales = np.asarray(scales, dtype=float)
@@ -242,7 +245,7 @@ def homogeneity_check(p: Polygon, scales, mesh_h: float = 0.02) -> CheckReport:
     return CheckReport("homogeneity", len(scales), failures, float(worst), details)
 
 
-def run_verify_corpus(seed: int = 42, mesh_h: float = 0.02) -> list[CheckReport]:
+def run_verify_corpus(seed: int = 42, mesh_h: float = REL_MESH_H) -> list[CheckReport]:
     """Run all three checks over a seeded corpus of ``CORPUS_SIZE`` bodies
     and merge the reports.
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from torsion_minkowski import Polygon, TargetMeasure
-from torsion_minkowski.cli import RunConfig, main, parse_spec, run
+from torsion_minkowski.cli import main, parse_spec
 from torsion_minkowski.errors import InvariantViolation
 from conftest import SQUARE_COEFF
 
@@ -270,15 +270,63 @@ def test_each_subcommand_lists_only_its_flags(capsys):
         assert listed == flags, name
 
 
-def test_run_config_validation():
-    with pytest.raises(InvariantViolation):
-        RunConfig(subcommand="torsion")  # no input path
-    with pytest.raises(InvariantViolation):
-        RunConfig(subcommand="bogus", input_path="x")
-    with pytest.raises(InvariantViolation):
-        RunConfig(subcommand="verify", mesh_h=-0.1)
+def test_run_config_validation(capsys):
+    assert main(["torsion"]) == 1  # no input path
+    assert main(["bogus", "--input", "x"]) == 1
+    assert main(["verify", "--mesh-h", "-0.1"]) == 1
+    capsys.readouterr()
 
 
 def test_wrong_input_kind(unit_square_file, square_target_file, capsys):
-    assert run(RunConfig("solve", input_path=unit_square_file)) == 1
-    assert run(RunConfig("torsion", input_path=square_target_file)) == 1
+    assert main(["solve", "--input", unit_square_file]) == 1
+    assert main(["torsion", "--input", square_target_file]) == 1
+    capsys.readouterr()
+
+
+def _one_error_line(err: str) -> bool:
+    # argparse prints usage lines above its one "prog: error: ..." line
+    return sum("error:" in line for line in err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.fixture()
+def input_files(tmp_path, unit_square_file):
+    target = tmp_path / "plain_target.json"
+    target.write_text(json.dumps({"angles_deg": [0, 90, 180, 270], "weights": [0.28113] * 4}))
+    pair = tmp_path / "pair.json"
+    square = {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}
+    pair.write_text(json.dumps({"body": square, "body_prime": square, "s_values": [0.01]}))
+    return {"torsion": unit_square_file, "measure": unit_square_file,
+            "solve": str(target), "hadamard": str(pair)}
+
+
+NUMERIC_FLAG_CASES = [
+    (command, flag, value)
+    for command, flag in [("torsion", "--mesh-h"), ("measure", "--mesh-h"),
+                          ("hadamard", "--mesh-h"), ("verify", "--mesh-h"),
+                          ("solve", "--mesh-h"), ("solve", "--tol"), ("solve", "--max-iters")]
+    for value in ("0", "-1", "nan")
+] + [("verify", "--seed", "-1"), ("verify", "--seed", "nan")]  # seed 0 is a valid corpus seed
+
+
+@pytest.mark.parametrize("command,flag,value", NUMERIC_FLAG_CASES)
+def test_bad_numeric_flag_exits_1(command, flag, value, input_files, capsys):
+    argv = [command, flag, value]
+    if command in input_files:
+        argv += ["--input", input_files[command]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert _one_error_line(err), err
+
+
+@pytest.mark.parametrize("options,needle", [
+    ({"max_iter": 1}, "max_iter"),
+    ({"tol": "abc"}, "options"),
+    ({"mesh_h": [0.03]}, "options"),
+])
+def test_bad_target_file_options_exit_1(options, needle, tmp_path, capsys):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"angles_deg": [0, 90, 180, 270], "weights": [0.28113] * 4,
+                                "options": options}))
+    assert main(["solve", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "ParseError" in err and needle in err, err

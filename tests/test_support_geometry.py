@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,6 @@ from torsion_minkowski import (
     hausdorff_distance,
     metrics,
     minkowski_sum,
-    polygon_from_dict,
     polygon_to_dict,
     regular_polygon,
     scale,
@@ -23,6 +24,7 @@ from torsion_minkowski import (
     support_values,
     translate,
 )
+from torsion_minkowski.cli import parse_spec
 from conftest import axis_support_spec, turned_octagon
 
 
@@ -180,7 +182,7 @@ def test_metrics_square(square):
     assert m.diameter == pytest.approx(2.0 * np.sqrt(2.0))
     assert m.inradius == pytest.approx(1.0, abs=1e-9)
     assert square.area == pytest.approx(4.0)
-    assert np.allclose(m.centroid, 0.0, atol=1e-12)
+    assert np.allclose(square.centroid, 0.0, atol=1e-12)
 
 
 def test_metrics_rectangle():
@@ -197,7 +199,7 @@ def test_polygon_and_metrics_kept_on_their_inputs():
     m = metrics(p)
     assert metrics(p) is m
     with pytest.raises(ValueError):
-        m.centroid[0] = 1.0
+        p.centroid[0] = 1.0
 
 
 def test_metrics_hexagon(hexagon):
@@ -269,14 +271,16 @@ def test_steiner_minkowski_additivity(p, q):
 # -------------------------------------------------------- serialization
 
 
-def test_polygon_json_round_trip(hexagon):
-    again = polygon_from_dict(polygon_to_dict(hexagon))
+def test_polygon_json_round_trip(hexagon, tmp_path):
+    path = tmp_path / "hexagon.json"
+    path.write_text(json.dumps(polygon_to_dict(hexagon)))
+    again = parse_spec(str(path))
     assert hausdorff_distance(hexagon, again) < 1e-12
 
 
 def test_polygon_from_dict_requires_ccw():
     with pytest.raises(InvariantViolation):
-        polygon_from_dict({"vertices": [[0, 0], [0, 1], [1, 1], [1, 0]]})
+        Polygon.from_vertices([[0, 0], [0, 1], [1, 1], [1, 0]])
 
 
 def test_polygon_needs_three_vertices():

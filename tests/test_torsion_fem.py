@@ -119,7 +119,7 @@ def test_sqrt_concavity(disk_field, square_field):
 def test_monotonicity_under_inclusion():
     rng = np.random.default_rng(21)
     for p in polygon_corpus(seed=21, count=3):
-        c = metrics(p).centroid
+        c = p.centroid
         inner = translate(scale(translate(p, -c), 0.7), c)
         h = 0.04 * metrics(p).circumradius
         assert solve_on_polygon(inner, h).tau_energy < solve_on_polygon(p, h).tau_energy
