@@ -328,7 +328,8 @@ def check_mesh(m: TriMesh) -> MeshCheckReport:
         conforming = True
     except InvariantViolation:
         conforming = False
-    areas = m.triangle_areas()
+    twice_area, gx, gy = _p1_basis(m.nodes, m.triangles)
+    areas = 0.5 * twice_area
     oriented = bool(np.all(areas > 0))
     facet_sums = np.zeros(len(m.polygon))
     np.add.at(facet_sums, m.boundary_facets, m.boundary_edge_lengths)
@@ -336,15 +337,15 @@ def check_mesh(m: TriMesh) -> MeshCheckReport:
                              / np.maximum(1.0, m.polygon.facet_lengths)))
     boundary_ok = facet_err <= 1e-9
 
-    a, b, c = (m.nodes[m.triangles[:, k]] for k in range(3))
-    la, lb, lc = (np.hypot(*(v - u).T) for u, v in ((b, c), (c, a), (a, b)))
-    angles = []
-    for opp, e1, e2 in ((la, lb, lc), (lb, lc, la), (lc, la, lb)):
-        cosv = np.clip((e1 ** 2 + e2 ** 2 - opp ** 2) / (2 * e1 * e2), -1, 1)
-        angles.append(np.degrees(np.arccos(cosv)))
-    min_angle = float(np.min(angles))
+    # Column k of (gx, gy) is the edge opposite node k turned by 90 degrees;
+    # the angle at node k lies between columns k+1 and k+2, one reversed.
+    lengths = np.hypot(gx, gy)
+    gx1, gy1, l1 = (np.roll(g, -1, axis=1) for g in (gx, gy, lengths))
+    gx2, gy2, l2 = (np.roll(g, -2, axis=1) for g in (gx, gy, lengths))
+    cosv = np.clip(-(gx1 * gx2 + gy1 * gy2) / (l1 * l2), -1, 1)
+    min_angle = float(np.degrees(np.arccos(cosv)).min())
 
-    max_edge = float(max(la.max(), lb.max(), lc.max()))
+    max_edge = float(lengths.max())
     area_err = float(abs(areas.sum() - m.polygon.area) / m.polygon.area)
     report = MeshCheckReport(
         conforming=conforming,

@@ -22,7 +22,7 @@ induces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .support_geometry import (
     metrics,
     normal_angles,
     polygon_to_dict,
+    seeded_rng,
     steiner_point,
 )
 from .torsion_fem import solve_torsion
@@ -339,8 +340,7 @@ class UniquenessReport:
         return self.worst_relative <= UNIQUENESS_TOL
 
 
-def uniqueness_probe(target: TargetMeasure, seeds,
-                     opts: SolveOptions | None = None) -> UniquenessReport:
+def uniqueness_probe(target: TargetMeasure, seeds) -> UniquenessReport:
     """Solve from randomized starts and compare the recentred solutions.
 
     Initial support vectors are 1 + 0.3 * uniform(-1, 1) per seed.  All
@@ -351,13 +351,11 @@ def uniqueness_probe(target: TargetMeasure, seeds,
     seeds = list(seeds)
     if not seeds:
         raise InvariantViolation("uniqueness_probe needs at least one seed")
-    opts = opts or SolveOptions()
     polys = []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         init = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, size=len(target))
-        run = replace(opts, init_values=init)
-        polys.append(solve_minkowski(target, run).polygon)
+        polys.append(solve_minkowski(target, SolveOptions(init_values=init)).polygon)
     radius = np.mean([metrics(p).circumradius for p in polys])
     pairs = []
     worst = 0.0

@@ -59,6 +59,14 @@ def _cyclic_gaps(angles: np.ndarray) -> np.ndarray:
     return np.append(gaps, wrap)
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, with a seed numpy rejects raised as InvariantViolation."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvariantViolation(f"bad random seed {seed!r}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class SupportSpec:
     """Support numbers on a fixed, angularly sorted set of unit normals.
@@ -295,41 +303,20 @@ def scale(p: Polygon, s: float) -> Polygon:
 
 
 def minkowski_sum(p: Polygon, q: Polygon) -> Polygon:
-    """Edge-merge Minkowski sum of two convex polygons.
+    """Minkowski sum by adding support numbers: h_{p+q} = h_p + h_q.
 
-    Each vertex cycle is rolled so its edge direction angles increase
-    from roughly 0; merging the two edge sequences by angle and
-    accumulating from the sum of the two start vertices (both support
-    points of the downward direction) yields the sum polygon.  Edges with
-    equal angle fuse into one.
+    Every facet normal of the sum is a facet normal of p or of q.  The
+    union of both fans is sorted by angle, and a normal whose cyclic
+    successor lies within ``MIN_ANGULAR_GAP`` is fused into it (dropped),
+    which moves the sum by about an edge length times that gap.
+    ``build_polytope`` realizes the summed support numbers on the fused fan.
     """
-    def edge_cycle(poly):
-        v = poly.vertices
-        edges = np.roll(v, -1, axis=0) - v
-        ang = np.mod(np.arctan2(edges[:, 1], edges[:, 0]), 2.0 * np.pi)
-        # fp noise can park a horizontal edge just below 2*pi; snap it to ~0
-        ang = np.where(ang > 2.0 * np.pi - 1e-9, ang - 2.0 * np.pi, ang)
-        k = int(np.argmin(ang))
-        return v[k], np.roll(edges, -k, axis=0), np.roll(ang, -k)
-
-    sp, ep, ap = edge_cycle(p)
-    sq, eq, aq = edge_cycle(q)
-    merged = []
-    i = j = 0
-    while i < len(ep) or j < len(eq):
-        if i < len(ep) and j < len(eq) and abs(ap[i] - aq[j]) < 1e-12:
-            merged.append(ep[i] + eq[j])
-            i += 1
-            j += 1
-        elif j >= len(eq) or (i < len(ep) and ap[i] <= aq[j]):
-            merged.append(ep[i])
-            i += 1
-        else:
-            merged.append(eq[j])
-            j += 1
-    start = sp + sq
-    verts = start + np.vstack([[0.0, 0.0], np.cumsum(merged, axis=0)[:-1]])
-    return Polygon.from_vertices(verts)
+    normals = np.vstack([p.facet_normals, q.facet_normals])
+    ang = normal_angles(normals)
+    order = np.argsort(ang)
+    normals = normals[order][_cyclic_gaps(ang[order]) >= MIN_ANGULAR_GAP]
+    values = support_values(p, normals) + support_values(q, normals)
+    return build_polytope(SupportSpec(normals, values))
 
 
 @dataclass(frozen=True)
@@ -337,12 +324,11 @@ class PolygonMetrics:
     diameter: float
     inradius: float
     circumradius: float
-    incenter: np.ndarray
 
 
 def metrics(p: Polygon) -> PolygonMetrics:
-    """Diameter, inradius (Chebyshev LP over the facet constraints),
-    circumradius about the area centroid, and incenter.  The area and
+    """Diameter, inradius (Chebyshev LP over the facet constraints) and
+    circumradius about the area centroid.  The area and
     the centroid are not among them: they are ``p.area`` and
     ``p.centroid``, set at construction.
 
@@ -363,10 +349,9 @@ def metrics(p: Polygon) -> PolygonMetrics:
     )
     if not res.success:
         raise InvariantViolation(f"inradius LP failed: {res.message}")
-    incenter, inradius = res.x[:2], float(res.x[2])
+    inradius = float(res.x[2])
     circumradius = float(np.sqrt(((v - p.centroid) ** 2).sum(axis=1).max()))
-    incenter.setflags(write=False)
-    object.__setattr__(p, "_metrics", PolygonMetrics(diameter, inradius, circumradius, incenter))
+    object.__setattr__(p, "_metrics", PolygonMetrics(diameter, inradius, circumradius))
     return p._metrics
 
 
@@ -391,25 +376,15 @@ def hausdorff_distance(p: Polygon, q: Polygon) -> float:
 
 
 def steiner_point(p: Polygon) -> np.ndarray:
-    """Translation-equivariant center: (1/pi) * integral of h(d) d over
-    the unit circle, evaluated in closed form arc-by-arc.
-
-    Vertex k supports all directions in the arc between the normals of
-    its two incident edges; on that arc h(theta) = <v_k, d(theta)>.
+    """Translation-equivariant center (1/pi) * integral of h(u) u over the
+    unit circle, which for a polygon is the vertex mean weighted by the
+    exterior angles: sum_k (theta_k / 2 pi) v_k, where theta_k turns from
+    the normal of the edge entering v_k to that of the edge leaving it
+    (Schneider, Convex Bodies, section 5.4).
     """
     phi = normal_angles(p.facet_normals)
-    out = np.zeros(2)
-    for k in range(len(p)):
-        a, b = phi[k - 1], phi[k]
-        while b < a:
-            b += 2.0 * np.pi
-        vx, vy = p.vertices[k]
-        i_cc = 0.5 * (b - a) + 0.25 * (np.sin(2 * b) - np.sin(2 * a))
-        i_sc = 0.25 * (np.cos(2 * a) - np.cos(2 * b))
-        i_ss = 0.5 * (b - a) - 0.25 * (np.sin(2 * b) - np.sin(2 * a))
-        out[0] += vx * i_cc + vy * i_sc
-        out[1] += vx * i_sc + vy * i_ss
-    return out / np.pi
+    exterior = np.mod(phi - np.roll(phi, 1), 2.0 * np.pi)
+    return exterior @ p.vertices / (2.0 * np.pi)
 
 
 def polygon_to_dict(p: Polygon) -> dict:

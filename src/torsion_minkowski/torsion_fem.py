@@ -23,7 +23,7 @@ from scipy.sparse.linalg import cg
 
 from .errors import LinearSolveFailure, MaximumPrincipleViolation, PointOutside
 from .mesh import TriMesh, _p1_basis, triangulate
-from .support_geometry import Polygon
+from .support_geometry import Polygon, seeded_rng
 
 LINEAR_TOL = 1e-10  # relative CG residual tolerance
 MAX_CG_ITERS = 50_000
@@ -150,7 +150,7 @@ def check_sqrt_concavity(f: TorsionField, trials: int = 1000,
     average with slack 0.02 * max sqrt(u).  Violations are reported, not
     raised.
     """
-    rng = np.random.default_rng(rng_seed)
+    rng = seeded_rng(rng_seed)
     mesh = f.mesh
     areas = mesh.triangle_areas()
     prob = areas / areas.sum()

@@ -32,10 +32,11 @@ from .support_geometry import (
     hausdorff_distance,
     metrics,
     minkowski_sum,
-    normal_angles,
     regular_polygon,
     scale,
+    seeded_rng,
     support_spec_of,
+    translate,
 )
 from .torsion_fem import solve_on_polygon
 
@@ -44,7 +45,7 @@ BM_EQUALITY_TOL = 0.01  # relative defect allowed on translate/dilate pairs
 MODULUS_FACTOR = 10.0  # continuity budget L = MODULUS_FACTOR * tau_1 / inradius
 HOMOGENEITY_TOL = 0.01
 MAX_ASPECT = 10.0 / 3.0  # corpus bodies have circumradius / inradius at most this
-HOMOTHETIC_TOL = 1e-9  # relative spread of support-number ratios for a homothet
+HOMOTHETIC_TOL = 1e-9  # Hausdorff misfit of the fitted similarity, over sqrt(area)
 CORPUS_SIZE = 50  # bodies in the run_verify_corpus battery
 CONTINUITY_NOTE = "budget modulus tied to the mesh resolution, not a proven modulus of continuity"
 
@@ -104,9 +105,7 @@ def _random_polygon(rng: np.random.Generator, max_facets: int) -> Polygon:
 
 
 def polygon_corpus(seed: int, count: int, max_facets: int = 10) -> list[Polygon]:
-    if seed < 0:
-        raise InvariantViolation(f"corpus seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     return [_random_polygon(rng, max_facets) for _ in range(count)]
 
 
@@ -118,28 +117,15 @@ def _tau_quarter(p: Polygon, mesh_h_rel: float) -> float:
 def is_homothetic(p: Polygon, q: Polygon) -> bool:
     """True when q is a translate and dilate of p.
 
-    Fans are aligned cyclically by angle first: roundoff can park a
-    normal on either side of the -pi/pi branch cut, which permutes the
-    angle-sorted order without changing the fan.
+    The only candidate is the similarity that matches areas and centroids,
+    x -> s x + t with s = sqrt(area q / area p) and t = c_q - s c_p; the
+    pair is homothetic when it carries p to within ``HOMOTHETIC_TOL *
+    sqrt(area q)`` of q in Hausdorff distance.
     """
-    if len(p) != len(q):
-        return False
-    sp, sq = support_spec_of(p), support_spec_of(q)
-    ap, aq = normal_angles(sp.normals), normal_angles(sq.normals)
-    roll = None
-    for r0 in range(len(aq)):
-        d = (np.roll(aq, -r0) - ap + np.pi) % (2.0 * np.pi) - np.pi
-        if np.abs(d).max() < 1e-7:
-            roll = r0
-            break
-    if roll is None:
-        return False
-    vq = np.roll(sq.values, -roll)
-    nq = np.roll(sq.normals, -roll, axis=0)
-    ratios = vq - nq @ q.centroid
-    base = sp.values - sp.normals @ p.centroid
-    r = ratios / base
-    return bool(np.all(np.abs(r - r.mean()) <= HOMOTHETIC_TOL * max(1.0, abs(r.mean()))))
+    s = np.sqrt(q.area / p.area)
+    t = q.centroid - s * p.centroid
+    misfit = hausdorff_distance(translate(scale(p, s), t), q)
+    return bool(misfit <= HOMOTHETIC_TOL * np.sqrt(q.area))
 
 
 def brunn_minkowski_check(p0: Polygon, p1: Polygon, t_grid,
@@ -187,7 +173,7 @@ def continuity_check(p: Polygon, perturbation_scale: float, trials: int,
     m = metrics(p)
     if perturbation_scale >= 0.1 * m.inradius:
         raise InvariantViolation("perturbation_scale must stay below 0.1 * inradius")
-    rng = np.random.default_rng(rng_seed)
+    rng = seeded_rng(rng_seed)
     spec = support_spec_of(p)
     base_field = solve_on_polygon(p, mesh_h * m.circumradius)
     tau1_base = facet_measure(base_field).total_mass

@@ -267,6 +267,8 @@ def test_option_validation(square_target):
         SolveOptions(tol=float("nan"))
     with pytest.raises(InvariantViolation):
         uniqueness_probe(square_target, seeds=[])
+    with pytest.raises(InvariantViolation, match="seed"):
+        uniqueness_probe(square_target, seeds=[-1])
 
 
 def test_uniqueness_probe_two_seeds(square_target):

@@ -25,6 +25,7 @@ from torsion_minkowski import (
     translate,
 )
 from torsion_minkowski.cli import parse_spec
+from torsion_minkowski.verify_suite import polygon_corpus
 from conftest import axis_support_spec, turned_octagon
 
 
@@ -153,6 +154,19 @@ def test_support_additivity_random_directions(p, q, seed):
     assert np.abs(err).max() < 1e-9
 
 
+@pytest.mark.parametrize("theta", [1e-11, 1e-10])
+@pytest.mark.parametrize("body", ["square", "hexagon"])
+def test_minkowski_sum_near_parallel_edges(body, theta, request):
+    # edges parallel to within 1e-12..1e-10 rad fuse instead of leaving a corner below CROSS_TOL
+    p = request.getfixturevalue(body)
+    c, s = np.cos(theta), np.sin(theta)
+    q = Polygon.from_vertices(p.vertices @ np.array([[c, s], [-s, c]]))
+    total = minkowski_sum(p, q)
+    dirs = angles_to_normals(np.linspace(-np.pi, np.pi, 1000, endpoint=False))
+    err = support_values(total, dirs) - support_values(p, dirs) - support_values(q, dirs)
+    assert np.abs(err).max() < 1e-9
+
+
 # ------------------------------------------------------------- dilation
 
 
@@ -266,6 +280,17 @@ def test_steiner_minkowski_additivity(p, q):
     lhs = steiner_point(minkowski_sum(p, q))
     rhs = steiner_point(p) + steiner_point(q)
     assert np.allclose(lhs, rhs, atol=1e-9)
+
+
+def test_steiner_point_matches_quadrature():
+    # (1/pi) * integral of h(u) u over the circle, midpoint rule on 1e5 angles
+    n = 100_000
+    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    u = angles_to_normals(theta)
+    for p in polygon_corpus(42, 5):
+        p = translate(p, np.array([0.7, -1.9]))
+        quad = (support_values(p, u) @ u) * (2.0 / n)
+        assert np.allclose(steiner_point(p), quad, atol=1e-9)
 
 
 # -------------------------------------------------------- serialization

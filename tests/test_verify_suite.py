@@ -4,6 +4,8 @@ import pytest
 from torsion_minkowski import (
     InvariantViolation,
     brunn_minkowski_check,
+    build_polytope,
+    check_sqrt_concavity,
     continuity_check,
     homogeneity_check,
     is_homothetic,
@@ -12,6 +14,7 @@ from torsion_minkowski import (
     scale,
     translate,
 )
+from conftest import axis_support_spec
 
 
 def test_homothety_detection(square, hexagon):
@@ -19,6 +22,7 @@ def test_homothety_detection(square, hexagon):
     assert is_homothetic(square, scale(square, 2.0))
     assert is_homothetic(square, translate(scale(square, 0.5), np.array([-1.0, 2.0])))
     assert not is_homothetic(square, hexagon)
+    assert not is_homothetic(square, build_polytope(axis_support_spec([0.0, 1.0, 1.0 + 1e-6, 0.0])))
 
 
 def test_bm_equality_for_translate_pair(square):
@@ -74,6 +78,15 @@ def test_continuity_linear_response(square):
 def test_continuity_rejects_large_scale(square):
     with pytest.raises(InvariantViolation):
         continuity_check(square, metrics(square).inradius, trials=1)
+
+
+def test_negative_seed_rejected(square, square_field):
+    with pytest.raises(InvariantViolation, match="seed"):
+        continuity_check(square, 0.01, trials=1, rng_seed=-1)
+    with pytest.raises(InvariantViolation, match="seed"):
+        check_sqrt_concavity(square_field, rng_seed=-1)
+    with pytest.raises(InvariantViolation, match="seed"):
+        polygon_corpus(-1, 1)
 
 
 def test_homogeneity_identity_scale(square):
