@@ -2,10 +2,12 @@
 
 The generator samples each polygon facet at half the interior target
 spacing (boundary-flux accuracy drives the downstream pipeline), fills the
-interior with a hexagonal lattice anchored at the bounding-box corner,
-relaxes the band of nodes near the boundary with a few Laplacian sweeps,
-and Delaunay-triangulates the whole point set once.  The interior lattice
-is already equilateral, so each sweep triangulates only the boundary band.
+interior with a hexagonal lattice anchored at the bounding-box corner and
+relaxes the band of nodes near the boundary with a few Laplacian sweeps.
+Only that band is ever Delaunay-triangulated: the nodes deeper than it are
+unmoved lattice nodes, whose Delaunay triangles are the elementary lattice
+triangles, emitted straight from the lattice indices.  The result is the
+Delaunay triangulation of the whole point set (see ``_stitch``).
 Anchoring the lattice at the bounding box makes meshing equivariant under
 translations and dilations, which the homogeneity and gauge-invariance
 checks rely on.
@@ -27,6 +29,7 @@ from .support_geometry import Polygon, metrics
 NODE_CAP = 2_000_000  # triangulate and refine raise MeshTooFine above this
 REL_MESH_H = 0.02  # default spacing relative to a body's circumradius (solver, verify checks, CLI)
 SMOOTH_SWEEPS = 4
+_BAND_RINGS = SMOOTH_SWEEPS + 3  # band depth in lattice spacings (see _smooth)
 MIN_ANGLE_DEG = 20.0  # smallest triangle angle check_mesh accepts
 LOCATE_CANDIDATES = 16  # nearest triangle centroids tried before a full scan
 
@@ -188,7 +191,7 @@ def _hex_lattice(p: Polygon, h: float, margin: float) -> np.ndarray:
 
 
 def _smooth(points: np.ndarray, n_fixed: int, h_lat: float, polygon: Polygon,
-            min_margin: float) -> np.ndarray:
+            min_margin: float) -> tuple[np.ndarray, np.ndarray]:
     """Laplacian sweeps over the boundary band, with the first n_fixed pinned.
 
     A lattice node with all six lattice neighbours sits at their mean, so
@@ -200,10 +203,14 @@ def _smooth(points: np.ndarray, n_fixed: int, h_lat: float, polygon: Polygon,
     star lies in the band, stays Delaunay there and is its full star.  The
     long triangles the band's Delaunay puts across the hole touch only
     pinned nodes.
+
+    Returns the smoothed points and the indices of the band's nodes, whose
+    Delaunay triangulation at the final positions ``_stitch`` completes
+    with the lattice triangles of the unmoved interior.
     """
     pts = points.copy()
     depth = polygon.distance_to_boundary(pts)
-    band = np.flatnonzero(depth <= (SMOOTH_SWEEPS + 3) * h_lat)
+    band = np.flatnonzero(depth <= _BAND_RINGS * h_lat)
     movable = (band >= n_fixed) & (depth[band] <= (SMOOTH_SWEEPS + 1.5) * h_lat)
     for _ in range(SMOOTH_SWEEPS):
         sub = pts[band]
@@ -212,7 +219,74 @@ def _smooth(points: np.ndarray, n_fixed: int, h_lat: float, polygon: Polygon,
         means = np.add.reduceat(sub[indices], indptr[:-1], axis=0) / counts[:, None]
         upd = movable & (polygon.distance_to_boundary(means) >= min_margin)
         pts[band[upd]] = means[upd]
-    return pts
+    return pts, band
+
+
+def _stitch(points: np.ndarray, band: np.ndarray, lattice: np.ndarray, h_lat: float,
+            polygon: Polygon) -> np.ndarray:
+    """Delaunay triangles of all points, counterclockwise, from one Delaunay
+    of the band and the lattice indices of the rest.
+
+    The last points are the hexagonal lattice nodes of spacing h_lat
+    whose unsmoothed positions are ``lattice``.  A node outside the band lies deeper than (sweeps + 3) h_lat.
+    Every node within 2 h_lat / sqrt(3) of it, its six lattice neighbours
+    among them, lies deeper than (sweeps + 1.8) h_lat, where smoothing
+    moved no node, so is an unmoved lattice node.  No lattice node lies in
+    the circumdisk of an elementary lattice triangle, so the Delaunay star
+    of a node outside the band is its six elementary triangles, emitted
+    from the lattice indices.  The triangles with all three nodes in the
+    band are those of the band's Delaunay whose circumdisk holds no node
+    outside the band.  A circumdisk whose centre depth plus radius stays
+    below the band depth holds none, as depth is 1-Lipschitz; that decides
+    most band triangles without a query.  For the rest (the slivers beside
+    short facets and the long triangles across the hole) the nearest node
+    outside the band decides.
+    """
+    outside = np.ones(len(points), dtype=bool)
+    outside[band] = False
+    tris = band[Delaunay(points[band]).simplices]
+    centre, radius = _circumcircles(points, tris)
+    keep = polygon.distance_to_boundary(centre) + radius < _BAND_RINGS * h_lat
+    unsure = np.flatnonzero(~keep)
+    nearest, _ = cKDTree(points[outside]).query(centre[unsure])
+    keep[unsure] = nearest >= radius[unsure]
+    return np.vstack([_orient(points, tris[keep]),
+                      _lattice_triangles(lattice, len(points) - len(lattice), h_lat,
+                                         outside)])
+
+
+def _circumcircles(points: np.ndarray, triangles: np.ndarray):
+    """Circumcentre and circumradius of each triangle."""
+    a = points[triangles[:, 0]]
+    b = points[triangles[:, 1]] - a
+    c = points[triangles[:, 2]] - a
+    bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
+    d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    u = np.column_stack([c[:, 1] * bb - b[:, 1] * cc, b[:, 0] * cc - c[:, 0] * bb]) / d[:, None]
+    return a + u, np.hypot(u[:, 0], u[:, 1])
+
+
+def _lattice_triangles(lattice: np.ndarray, first: int, h: float,
+                       outside: np.ndarray) -> np.ndarray:
+    """Counterclockwise elementary triangles of a hexagonal lattice that
+    have a node in ``outside``.
+
+    ``lattice`` holds the points of ``_hex_lattice(p, h, ...)``, numbered
+    from ``first``.  Row iy and doubled column j = 2 ix + (iy % 2) come
+    from rounding; in (iy, j) the neighbours of a node are (iy, j +- 2)
+    and (iy +- 1, j +- 1), whatever the lattice's anchor.
+    """
+    lo = lattice.min(axis=0)
+    iy = np.rint((lattice[:, 1] - lo[1]) / (h * np.sqrt(3.0) / 2.0)).astype(np.intp)
+    j = np.rint((lattice[:, 0] - lo[0]) / (h / 2.0)).astype(np.intp) + 1
+    grid = np.full((iy.max() + 2, j.max() + 3), -1, dtype=np.intp)
+    ids = first + np.arange(len(lattice))
+    grid[iy, j] = ids
+    up = np.column_stack([ids, grid[iy, j + 2], grid[iy + 1, j + 1]])
+    down = np.column_stack([ids, grid[iy + 1, j + 1], grid[iy + 1, j - 1]])
+    tris = np.vstack([up, down])
+    tris = tris[np.all(tris >= 0, axis=1)]
+    return tris[outside[tris].any(axis=1)]
 
 
 def triangulate(p: Polygon, target_h: float) -> TriMesh:
@@ -238,10 +312,10 @@ def triangulate(p: Polygon, target_h: float) -> TriMesh:
     n_total = len(bpts) + len(interior)
     if n_total > NODE_CAP:
         raise MeshTooFine(f"mesh would need {n_total} nodes (cap {NODE_CAP})")
-    points = _smooth(np.vstack([bpts, interior]), len(bpts), h_lat, p,
-                     min_margin=0.4 * spacing)
-    triangles = _orient(points, Delaunay(points).simplices)
     nb = len(bpts)
+    points, band = _smooth(np.vstack([bpts, interior]), nb, h_lat, p,
+                           min_margin=0.4 * spacing)
+    triangles = _stitch(points, band, interior, h_lat, p)
     edges = np.column_stack([np.arange(nb), (np.arange(nb) + 1) % nb])
     lengths = np.hypot(*(points[edges[:, 1]] - points[edges[:, 0]]).T)
     mesh = TriMesh(points, triangles, edges, bfacets, lengths, target_h, p)

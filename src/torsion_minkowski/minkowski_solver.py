@@ -297,7 +297,11 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
 
 def _eval(h: SupportSpec, target: TargetMeasure, opts: SolveOptions,
           stage_scale: float) -> ObjectiveEval:
-    mesh_h = opts.mesh_h * stage_scale * metrics(build_polytope(h)).circumradius
+    m = metrics(build_polytope(h))
+    # triangulate needs mesh_h below the inradius.  Capping it at half the
+    # inradius binds only where R / r exceeds 0.5 / (stage_scale * mesh_h):
+    # 12.5 in the coarse stage and 25 in the fine one at the default mesh_h.
+    mesh_h = min(opts.mesh_h * stage_scale * m.circumradius, 0.5 * m.inradius)
     return objective(h, target, mesh_h)
 
 

@@ -8,8 +8,10 @@ from torsion_minkowski import (
     PointOutside,
     check_mesh,
     metrics,
+    minkowski_sum,
     refine,
     regular_polygon,
+    scale,
     triangulate,
 )
 from torsion_minkowski import mesh as mesh_module
@@ -174,11 +176,25 @@ def _triangle_set(triangles):
     return np.unique(np.sort(triangles, axis=1), axis=0)
 
 
+def _sliver_sum():
+    """Corpus members 2 and 3 summed at s = 0.005, as the hadamard check
+    sums them: its mesh has a 3.16 degree triangle beside a short facet."""
+    corpus = polygon_corpus(seed=42, count=4)
+    return minkowski_sum(corpus[2], scale(corpus[3], 0.005))
+
+
 @pytest.mark.parametrize("rel", [0.01, 0.02, 0.04])
 def test_band_smoothing_matches_full_delaunay_smoothing(rel):
     rng = np.random.default_rng(3)
-    for p in polygon_corpus(seed=42, count=3):
-        p = _turned(p, rng.uniform(0.0, 2.0 * np.pi))
+    bodies = [_turned(p, rng.uniform(0.0, 2.0 * np.pi))
+              for p in polygon_corpus(seed=42, count=3)]
+    bodies.append(Polygon.from_vertices(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                                  [0.0, 1.0]])))
+    if rel >= 0.02:
+        bodies.append(regular_polygon(64))
+    if rel == 0.02:
+        bodies.append(_sliver_sum())
+    for p in bodies:
         h = rel * metrics(p).circumradius
         m = triangulate(p, h)
         ref = _reference_nodes(p, h)
@@ -187,18 +203,26 @@ def test_band_smoothing_matches_full_delaunay_smoothing(rel):
         assert np.array_equal(_triangle_set(m.triangles), _triangle_set(ref_tris))
 
 
-def test_triangulate_runs_one_full_delaunay(monkeypatch):
-    sizes = []
+def test_triangulate_runs_no_full_delaunay(monkeypatch, square):
+    calls = []
 
     def counting_delaunay(points):
-        sizes.append(len(points))
+        calls.append(points.copy())
         return Delaunay(points)
 
     monkeypatch.setattr(mesh_module, "Delaunay", counting_delaunay)
     m = triangulate(regular_polygon(64), 0.02)
-    assert sizes.count(m.n_nodes) == 1
-    assert len(sizes) == mesh_module.SMOOTH_SWEEPS + 1
-    assert max(sizes[:-1]) < m.n_nodes
+    assert len(calls) == mesh_module.SMOOTH_SWEEPS + 1
+    assert len({len(pts) for pts in calls}) == 1
+    assert len(calls[0]) < m.n_nodes
+    # the last call triangulates the band at its final positions
+    final = {tuple(x) for x in m.nodes}
+    assert all(tuple(x) in final for x in calls[-1])
+
+    calls.clear()  # coarse: the band holds every node and is the whole mesh
+    coarse = triangulate(square, 0.5)
+    assert [len(pts) for pts in calls] == [coarse.n_nodes] * (mesh_module.SMOOTH_SWEEPS + 1)
+    assert check_mesh(coarse).ok
 
 
 def test_refine_matches_midpoint_dictionary(hexagon):

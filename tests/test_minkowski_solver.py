@@ -188,6 +188,12 @@ def test_solve_iterates_respect_apriori_bounds(square_solution):
     assert max(circ) <= circ[0] * 50.0
 
 
+def test_elongated_start_meshes_within_the_inradius(square_target):
+    # a 1 x 40 start: a mesh sized from the circumradius alone would not fit
+    rep = solve_minkowski(square_target, SolveOptions(init_values=[20.0, 0.5, 20.0, 0.5]))
+    assert rep.converged
+
+
 def test_solve_sixteen_normals_weight_ratio_five():
     rng = np.random.default_rng(63)
     ang = np.sort(rng.uniform(-np.pi, np.pi, 16))
