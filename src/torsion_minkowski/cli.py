@@ -209,7 +209,8 @@ def _cmd_solve(args: dict) -> int:
     try:
         report, message = solve_minkowski(target, SolveOptions(**opts)), None
     except NoConvergence as exc:
-        report, message = exc.report, f"error: {exc}"
+        report = exc.report
+        message = f"error: solve stopped on {report.diagnostics['stop_reason']}: {exc}"
     _write_json(report.to_dict(), args.get("output_path"))
     if args.get("log_path"):
         _write_csv(args["log_path"], LOG_COLUMNS, (
@@ -217,7 +218,8 @@ def _cmd_solve(args: dict) -> int:
                      for col in LOG_COLUMNS)
             for rec in report.diagnostics["iterations_log"]))
     if message is None and not report.converged:
-        message = f"warning: solve did not converge (residual {report.residual_history[-1]:.3g})"
+        message = (f"warning: solve did not converge: {report.diagnostics['stop_reason']} "
+                   f"(residual {report.residual_history[-1]:.3g})")
     if message is not None:
         print(message, file=sys.stderr)
         return EXIT_NO_CONVERGENCE

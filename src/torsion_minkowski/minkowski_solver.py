@@ -12,8 +12,12 @@ torsion-measure weight, which makes the exact gradient one measure
 evaluation per iterate.  At a stationary point mu = (4 tau / Phi) c, so
 dilating the optimizer output by (Phi / 4 tau)^(1/3) — the measure is
 homogeneous of degree 3 under dilations — lands the measure on the
-target.  The constrained problem's multiplier is the optimal value of J
-and is reported alongside the solution.
+target.  The discrete pipeline commutes with dilations too (the mesh
+spacing is relative to the circumradius), so the report is the last
+evaluation dilated in closed form, with no mesh of the dilated body:
+tau scales by s^4, mu by s^3, Phi by s and grad J by 1/s, while J and
+the residual are unchanged.  The constrained problem's multiplier is the
+optimal value of J and is reported alongside the solution.
 
 Each accepted iterate is recentred so its Steiner point sits at the
 origin, removing the translation null direction a balanced target
@@ -22,7 +26,7 @@ induces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -211,9 +215,13 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     """Descent with backtracking line search from h = 1 (or a supplied
     start), followed by the homogeneity rescale.
 
-    Raises NoConvergence (with the partial report attached) when the
-    iteration cap is hit or an iterate escapes the a-priori size bounds
-    derived from the first iterate.
+    The report is the last fine-stage evaluation, dilated in closed form;
+    only the loop decides ``converged``.  ``diagnostics["stop_reason"]``
+    names how the loop ended: ``residual`` (converged),
+    ``line_search_stall``, ``iteration_cap`` or ``bounds_escape``.  The
+    last two raise NoConvergence with the partial report attached; an
+    iterate escapes when it leaves the a-priori size bounds derived from
+    the first iterate.
     """
     opts = opts or SolveOptions()
     c = target.weights
@@ -227,7 +235,6 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     log: list[dict] = []
     bounds = None
     step = None
-    converged = False
     failure = None  # message of a NoConvergence exit
     iters = 0
 
@@ -238,6 +245,7 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
         if bounds is None:
             bounds = (m.inradius / BOUNDS_SLACK, m.circumradius * BOUNDS_SLACK)
         if not (bounds[0] <= m.inradius and m.circumradius <= bounds[1]):
+            stop = "bounds_escape"
             failure = (f"iterate escaped a-priori bounds (inradius {m.inradius:.3g}, "
                        f"circumradius {m.circumradius:.3g})")
             break
@@ -246,7 +254,7 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
         at_fine = stage_scale == 1.0
         # Stop on the l1 residual the report is judged by, not an l2 gradient test.
         if at_fine and ev.residual <= opts.tol:
-            converged = True
+            stop = "residual"
             break
         gate_met = not at_fine and (ev.residual <= coarse_gate or gnorm <= 3.0 * gtol)
         accepted = None
@@ -271,28 +279,30 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
         if accepted is not None:
             h, ev = accepted
             h = _recentred(h, ev.polygon)
-        elif at_fine:
-            break  # line search stalled at the discretization floor
+        elif at_fine:  # line search stalled at the discretization floor
+            stop = "line_search_stall"
+            break
         else:  # coarse gate met or coarse line search stalled: go fine
             stage_scale = 1.0
             ev = _eval(h, target, opts, stage_scale)
         iters += 1
     else:
+        stop = "iteration_cap"
         failure = (f"no convergence in {opts.max_iters} iterations "
                    f"(residual {ev.residual:.3g})")
     if failure is not None:
-        raise NoConvergence(failure, report=_report(h, ev, log, iters, False))
+        raise NoConvergence(failure, report=_report(h, ev, log, iters, stop))
 
     # Homogeneity rescale: mu scales with the cube of a dilation, so this
-    # lands the stationary measure (4 tau / Phi) c on c itself.
+    # lands the stationary measure (4 tau / Phi) c on c itself.  The dilated
+    # body's values follow from ev in closed form (see the module docstring).
     s = (ev.phi / (4.0 * ev.tau)) ** (1.0 / 3.0)
     h = h.with_values(s * h.values)
-    final = _eval(h, target, opts, 1.0)
-    final.mu.validate()
-    h = _recentred(h, final.polygon)
-    converged = converged and final.residual <= opts.tol
+    mu = SurfaceMeasure(ev.mu.normals, s ** 3 * ev.mu.weights).validate()
+    final = replace(ev, grad_J=ev.grad_J / s, tau=s ** 4 * ev.tau, mu=mu,
+                    polygon=build_polytope(h), phi=s * ev.phi)
     log.append(_log_row(iters, final, metrics(final.polygon), 0.0))
-    return _report(h, final, log, iters, converged)
+    return _report(h, final, log, iters, stop)
 
 
 def _eval(h: SupportSpec, target: TargetMeasure, opts: SolveOptions,
@@ -312,7 +322,7 @@ def _log_row(iteration: int, ev: ObjectiveEval, m, step: float) -> dict:
             "inradius": m.inradius, "circumradius": m.circumradius, "step": step}
 
 
-def _report(h, ev, log, iters, converged) -> SolveReport:
+def _report(h, ev, log, iters, stop) -> SolveReport:
     m = metrics(ev.polygon)
     return SolveReport(
         h_final=h,
@@ -322,8 +332,9 @@ def _report(h, ev, log, iters, converged) -> SolveReport:
         residual_history=[row["residual"] for row in log],
         multiplier_m=ev.J,
         iterations=iters,
-        converged=converged,
+        converged=stop == "residual",
         diagnostics={
+            "stop_reason": stop,
             "iterations_log": log,
             "final_inradius": m.inradius,
             "final_circumradius": m.circumradius,

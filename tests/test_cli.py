@@ -201,6 +201,8 @@ def test_solve_non_convergence_exit_code(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["converged"] is False
     assert payload["iterations"] <= 1
+    assert payload["diagnostics"]["stop_reason"] == "iteration_cap"
+    assert "iteration_cap" in capsys.readouterr().err
 
 
 def test_solve_log_determinism(square_target_file, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from torsion_minkowski import (
     EmptyInterior,
     InvariantViolation,
+    NoConvergence,
     Polygon,
     SolveOptions,
     SupportSpec,
@@ -138,6 +139,7 @@ def test_objective_empty_interior():
 def test_solve_square_target(square_solution):
     rep = square_solution
     assert rep.converged
+    assert rep.diagnostics["stop_reason"] == "residual"
     assert np.abs(rep.h_final.values - 0.5).max() < 0.005
     assert rep.residual_history[-1] < 0.02
     # multiplier of the constrained formulation: Phi / tau^(1/4) at the optimum
@@ -229,7 +231,8 @@ def test_fine_stage_stops_on_the_l1_residual():
 
 def test_each_evaluation_runs_one_lp(monkeypatch):
     # metrics is kept on each polygon and build_polytope on each spec, so
-    # an objective evaluation solves the inradius LP once, not up to 3 times
+    # an objective evaluation solves the inradius LP once, not up to 3 times;
+    # the reported body is no evaluation, but its metrics solve one more LP
     target, _ = corpus_measure_target(7)
     counts = {"lp": 0, "evals": 0}
     linprog, evaluate = support_geometry.linprog, minkowski_solver.objective
@@ -246,7 +249,50 @@ def test_each_evaluation_runs_one_lp(monkeypatch):
     monkeypatch.setattr(minkowski_solver, "objective", counting_objective)
     solve_minkowski(target, SolveOptions())
     assert counts["evals"] > 0
-    assert counts["lp"] == counts["evals"]
+    assert counts["lp"] == counts["evals"] + 1
+
+
+def test_solve_reports_the_dilated_last_evaluation(monkeypatch, square_target):
+    calls = {"n": 0}
+    evaluate = minkowski_solver.objective
+
+    def counting_objective(*args, **kwargs):
+        calls["n"] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(minkowski_solver, "objective", counting_objective)
+    rep = solve_minkowski(square_target, SolveOptions())
+    assert calls["n"] == 2  # the coarse and the fine evaluation of h = 1
+    before, last = rep.diagnostics["iterations_log"][-2:]
+    assert last["residual"] == before["residual"] and last["J"] == before["J"]
+    s = last["circumradius"] / before["circumradius"]
+    assert last["tau"] == pytest.approx(s ** 4 * before["tau"], rel=1e-9)
+    assert last["inradius"] == pytest.approx(s * before["inradius"], rel=1e-9)
+    np.testing.assert_array_equal(rep.polygon.vertices, build_polytope(rep.h_final).vertices)
+    # the reported residual is the one the loop accepted, also on a symmetric
+    # target, whose meshes change with roundoff in the vertices
+    hexagon = TargetMeasure(angles_to_normals(np.deg2rad(np.arange(-150, 180, 60))),
+                            np.full(6, 0.28113))
+    r = solve_minkowski(hexagon, SolveOptions()).residual_history
+    assert r[-1] == r[-2]
+
+
+def test_fine_stage_stall_is_named(square_target):
+    # the discretization floor at spacing 0.08 lies above a 1e-4 residual
+    rep = solve_minkowski(square_target, SolveOptions(tol=1e-4, mesh_h=0.08))
+    assert not rep.converged
+    assert rep.diagnostics["stop_reason"] == "line_search_stall"
+
+
+def test_bounds_escape_is_named(monkeypatch):
+    # with no slack, the first step from the square towards a rectangle
+    # shrinks the inradius below the first iterate's
+    monkeypatch.setattr(minkowski_solver, "BOUNDS_SLACK", 1.0)
+    target = TargetMeasure(AXIS_NORMALS, np.array([0.2, 0.5, 0.2, 0.5]))
+    with pytest.raises(NoConvergence) as info:
+        solve_minkowski(target, SolveOptions())
+    assert info.value.report.diagnostics["stop_reason"] == "bounds_escape"
+    assert not info.value.report.converged
 
 
 def test_solve_scale_equivariance(square_target):
