@@ -54,7 +54,7 @@ class SurfaceMeasure:
         weights = np.ascontiguousarray(self.weights, dtype=float)
         if weights.shape != (len(normals),):
             raise InvariantViolation("one weight per normal required")
-        if np.any(weights < -1e-12 * max(1.0, weights.max(initial=0.0))):
+        if np.any(weights < -1e-12 * weights.max(initial=0.0)):
             raise InvariantViolation("measure weights must be nonnegative")
         weights = np.clip(weights, 0.0, None)
         normals.setflags(write=False)

@@ -214,7 +214,7 @@ def _smooth(points: np.ndarray, n_fixed: int, h_lat: float, polygon: Polygon,
     movable = (band >= n_fixed) & (depth[band] <= (SMOOTH_SWEEPS + 1.5) * h_lat)
     for _ in range(SMOOTH_SWEEPS):
         sub = pts[band]
-        indptr, indices = Delaunay(sub).vertex_neighbor_vertices
+        indptr, indices = _delaunay(sub).vertex_neighbor_vertices
         counts = np.maximum(np.diff(indptr), 1)
         means = np.add.reduceat(sub[indices], indptr[:-1], axis=0) / counts[:, None]
         upd = movable & (polygon.distance_to_boundary(means) >= min_margin)
@@ -244,7 +244,7 @@ def _stitch(points: np.ndarray, band: np.ndarray, lattice: np.ndarray, h_lat: fl
     """
     outside = np.ones(len(points), dtype=bool)
     outside[band] = False
-    tris = band[Delaunay(points[band]).simplices]
+    tris = band[_delaunay(points[band]).simplices]
     centre, radius = _circumcircles(points, tris)
     keep = polygon.distance_to_boundary(centre) + radius < _BAND_RINGS * h_lat
     unsure = np.flatnonzero(~keep)
@@ -253,6 +253,12 @@ def _stitch(points: np.ndarray, band: np.ndarray, lattice: np.ndarray, h_lat: fl
     return np.vstack([_orient(points, tris[keep]),
                       _lattice_triangles(lattice, len(points) - len(lattice), h_lat,
                                          outside)])
+
+
+def _delaunay(points: np.ndarray) -> Delaunay:
+    """Delaunay of the points divided by the power of two nearest their size
+    (exact): qhull's output changes below coordinates of about 2^-21."""
+    return Delaunay(points / 2.0 ** np.round(np.log2(np.abs(points).max())))
 
 
 def _circumcircles(points: np.ndarray, triangles: np.ndarray):
@@ -389,6 +395,7 @@ class MeshCheckReport:
     boundary_partition_ok: bool
     facet_length_error: float
     min_angle_deg: float
+    max_angle_deg: float  # governs the P1 error (Babuska & Aziz 1976); not gated
     max_edge_over_h: float
     max_boundary_edge_over_h: float
     area_error: float
@@ -403,12 +410,10 @@ def check_mesh(m: TriMesh) -> MeshCheckReport:
     except InvariantViolation:
         conforming = False
     twice_area, gx, gy = _p1_basis(m.nodes, m.triangles)
-    areas = 0.5 * twice_area
-    oriented = bool(np.all(areas > 0))
+    oriented = bool(np.all(twice_area > 0))
     facet_sums = np.zeros(len(m.polygon))
     np.add.at(facet_sums, m.boundary_facets, m.boundary_edge_lengths)
-    facet_err = float(np.max(np.abs(facet_sums - m.polygon.facet_lengths)
-                             / np.maximum(1.0, m.polygon.facet_lengths)))
+    facet_err = float(np.max(np.abs(facet_sums / m.polygon.facet_lengths - 1.0)))
     boundary_ok = facet_err <= 1e-9
 
     # Column k of (gx, gy) is the edge opposite node k turned by 90 degrees;
@@ -417,21 +422,22 @@ def check_mesh(m: TriMesh) -> MeshCheckReport:
     gx1, gy1, l1 = (np.roll(g, -1, axis=1) for g in (gx, gy, lengths))
     gx2, gy2, l2 = (np.roll(g, -2, axis=1) for g in (gx, gy, lengths))
     cosv = np.clip(-(gx1 * gx2 + gy1 * gy2) / (l1 * l2), -1, 1)
-    min_angle = float(np.degrees(np.arccos(cosv)).min())
+    angles = np.degrees(np.arccos(cosv))
 
     max_edge = float(lengths.max())
-    area_err = float(abs(areas.sum() - m.polygon.area) / m.polygon.area)
+    area_err = float(abs(0.5 * twice_area.sum() - m.polygon.area) / m.polygon.area)
     report = MeshCheckReport(
         conforming=conforming,
         oriented=oriented,
         boundary_partition_ok=boundary_ok,
         facet_length_error=facet_err,
-        min_angle_deg=min_angle,
+        min_angle_deg=float(angles.min()),
+        max_angle_deg=float(angles.max()),
         max_edge_over_h=max_edge / m.target_h,
         max_boundary_edge_over_h=float(m.boundary_edge_lengths.max() / m.target_h),
         area_error=area_err,
         ok=(conforming and oriented and boundary_ok
-            and min_angle >= MIN_ANGLE_DEG
+            and angles.min() >= MIN_ANGLE_DEG
             and max_edge <= 1.5 * m.target_h
             and m.boundary_edge_lengths.max() <= m.target_h
             and area_err <= 1e-10),

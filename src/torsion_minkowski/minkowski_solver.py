@@ -207,10 +207,6 @@ class SolveReport:
         }
 
 
-def _recentred(h: SupportSpec, polygon: Polygon) -> SupportSpec:
-    return h.translated(-steiner_point(polygon))
-
-
 def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> SolveReport:
     """Descent with backtracking line search from h = 1 (or a supplied
     start), followed by the homogeneity rescale.
@@ -221,14 +217,15 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     ``line_search_stall``, ``iteration_cap`` or ``bounds_escape``.  The
     last two raise NoConvergence with the partial report attached; an
     iterate escapes when it leaves the a-priori size bounds derived from
-    the first iterate.
+    the first iterate.  A log row counts the halvings (``backtracks``) and
+    swallowed EmptyInterior errors (``empty_interior``) of its line search.
     """
     opts = opts or SolveOptions()
     c = target.weights
     h = SupportSpec(target.normals,
                     np.ones(len(target)) if opts.init_values is None
                     else np.asarray(opts.init_values, dtype=float))
-    h = _recentred(h, build_polytope(h))
+    h = h.translated(-steiner_point(build_polytope(h)))
 
     stage_scale = COARSE_MESH_FACTOR
     coarse_gate = max(3.0 * opts.tol, 0.03)
@@ -265,20 +262,23 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
             direction = -ev.grad_J
             cap = m.inradius / (2.0 * float(np.abs(direction).max()))
             step = cap if step is None else min(2.0 * step, cap)
+            backtracks = empty = 0
             for _ in range(25):
                 trial = h.with_values(h.values + step * direction)
                 try:
                     trial_ev = _eval(trial, target, opts, stage_scale)
                 except EmptyInterior:
-                    step *= 0.5
-                    continue
-                if trial_ev.J <= ev.J - 5e-5 * step * gnorm ** 2:
-                    accepted = (trial, trial_ev)
-                    break
+                    empty += 1
+                else:
+                    if trial_ev.J <= ev.J - 5e-5 * step * gnorm ** 2:
+                        accepted = (trial, trial_ev)
+                        break
+                backtracks += 1
                 step *= 0.5
+            log[-1].update(backtracks=backtracks, empty_interior=empty)
         if accepted is not None:
             h, ev = accepted
-            h = _recentred(h, ev.polygon)
+            h = h.translated(-steiner_point(ev.polygon))
         elif at_fine:  # line search stalled at the discretization floor
             stop = "line_search_stall"
             break
@@ -319,14 +319,16 @@ def _log_row(iteration: int, ev: ObjectiveEval, m, step: float) -> dict:
     """The record of one iterate: a CSV log row, and the source of the
     report's objective and residual histories."""
     return {"iter": iteration, "J": ev.J, "residual": ev.residual, "tau": ev.tau,
-            "inradius": m.inradius, "circumradius": m.circumradius, "step": step}
+            "inradius": m.inradius, "circumradius": m.circumradius, "step": step,
+            "backtracks": 0, "empty_interior": 0}
 
 
 def _report(h, ev, log, iters, stop) -> SolveReport:
-    m = metrics(ev.polygon)
+    polygon = build_polytope(h)  # ev.polygon may predate the recentring of h
+    m = metrics(polygon)
     return SolveReport(
         h_final=h,
-        polygon=ev.polygon,
+        polygon=polygon,
         mu_final=ev.mu,
         objective_history=[row["J"] for row in log],
         residual_history=[row["residual"] for row in log],

@@ -8,8 +8,10 @@ intersection that turns the former into the latter; the remaining
 operations are the usual support-function calculus: Minkowski sums,
 dilations, translations, metric diagnostics and the Hausdorff distance.
 
-All predicates are double precision with absolute tolerance ``CROSS_TOL``
-on cross products; there is no exact arithmetic.
+Degeneracy is decided here, scale-free: angles against ``MIN_ANGULAR_GAP``
+and lengths against the body's own size.  So acceptance, active facets and
+the inradius commute with dilations by 1e-8 to 1e8 and translations up to
+1e3 circumradii (tested).  Double precision, no exact arithmetic.
 """
 
 from __future__ import annotations
@@ -21,10 +23,16 @@ from scipy.optimize import linprog
 
 from .errors import EmptyInterior, InvariantViolation, NegativeScale, UnboundedBody
 
-# Geometric predicate tolerances (absolute, double precision).
-CROSS_TOL = 1e-10
 UNIT_TOL = 1e-12
 MIN_ANGULAR_GAP = 1e-9
+# Half the gap is left to roundoff: corners turning, or lines crossing, by
+# less than ANGLE_TOL are not resolved.
+ANGLE_TOL = 0.5 * MIN_ANGULAR_GAP
+# Vertex roundoff of eps L on a body of size L errs a corner's turn by 2 eps L / e
+# between edges of length e, below ANGLE_TOL once e >= EDGE_TOL * L; a segment
+# clipped at angles >= ANGLE_TOL errs by less than EDGE_TOL * L in length.
+# Shorter edges and segments count as a vertex.
+EDGE_TOL = 4.0 * np.finfo(float).eps / MIN_ANGULAR_GAP
 
 
 def angles_to_normals(angles) -> np.ndarray:
@@ -92,7 +100,7 @@ class SupportSpec:
         gaps = _cyclic_gaps(ang)
         if gaps.min() < MIN_ANGULAR_GAP:
             raise InvariantViolation("near-parallel normals (angular gap < 1e-9 rad)")
-        if gaps.max() >= np.pi - 1e-12:
+        if gaps.max() >= np.pi - MIN_ANGULAR_GAP:
             raise UnboundedBody("normals do not positively span the plane")
         normals.setflags(write=False)
         values.setflags(write=False)
@@ -142,11 +150,14 @@ class Polygon:
         if not np.all(np.isfinite(v)):
             raise InvariantViolation("vertices must be finite")
         edges = np.roll(v, -1, axis=0) - v
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-        if np.any(cross <= CROSS_TOL):
-            raise InvariantViolation("vertex cycle is not strictly convex counterclockwise")
         lengths = np.hypot(edges[:, 0], edges[:, 1])
-        normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero-length edge gives NaN
+            normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
+        nxt = np.roll(normals, -1, axis=0)
+        turn = normals[:, 0] * nxt[:, 1] - normals[:, 1] * nxt[:, 0]  # sine of each corner's turn
+        wraps = np.count_nonzero(normal_angles(nxt) < normal_angles(normals))  # 1: winds once
+        if not (np.all(turn > ANGLE_TOL) and wraps == 1):  # NaN fails too; a star turns left too
+            raise InvariantViolation("vertex cycle is not strictly convex counterclockwise")
         shoelace = v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]
         area = 0.5 * float(np.sum(shoelace))
         if area <= 0:
@@ -175,21 +186,13 @@ class Polygon:
         consecutive vertices and canonicalizing the starting vertex."""
         v = np.asarray(vertices, dtype=float)
         src = None if source_index is None else np.asarray(source_index)
-        # Scaled by the finite coordinates only: an infinite one would
-        # make every gap a duplicate; the constructor rejects it instead.
-        tol = 1e-12 * float(np.abs(v[np.isfinite(v)]).max(initial=1.0))
-        # When v[i] duplicates v[i-1] the zero-length edge is the one
-        # leaving v[i-1], so drop the earlier vertex to keep the
-        # edge-leaving-vertex source alignment intact.
-        while len(v) >= 3:
-            gaps = np.hypot(*(v - np.roll(v, 1, axis=0)).T)
-            short = np.flatnonzero(gaps <= tol)
-            if len(short) == 0:
-                break
-            drop = (short[0] - 1) % len(v)
-            v = np.delete(v, drop, axis=0)
-            if src is not None:
-                src = np.delete(src, drop)
+        if v.shape[1:] != (2,) or len(v) < 3 or not np.all(np.isfinite(v)):
+            return cls(v, source_index=src)  # which rejects v
+        # An edge shorter than EDGE_TOL times the extent joins duplicate
+        # vertices: drop the vertex it leaves, with that edge's source index.
+        keep = np.hypot(*(np.roll(v, -1, axis=0) - v).T) > EDGE_TOL * np.ptp(v, axis=0).max()
+        if 3 <= keep.sum() < len(v):
+            v, src = v[keep], None if src is None else src[keep]
         start = np.lexsort((v[:, 0], v[:, 1]))[0]
         v = np.roll(v, -start, axis=0)
         if src is not None:
@@ -217,7 +220,8 @@ def build_polytope(spec: SupportSpec) -> Polygon:
     """Intersect the halfplanes {<x, X_i> <= h_i} of a support spec.
 
     Each constraint line is clipped against all the others; constraints
-    whose clipped segment is empty are inactive and produce no facet.
+    whose clipped segment is empty, or shorter than ``EDGE_TOL`` times the
+    longest one, are inactive and produce no facet.
     The returned polygon carries ``source_index`` mapping each facet back
     to its constraint, so downstream measure vectors stay index-aligned
     with the spec even when facets disappear.
@@ -230,44 +234,31 @@ def build_polytope(spec: SupportSpec) -> Polygon:
     if spec._polygon is not None:
         return spec._polygon
     normals, values = spec.normals, spec.values
-    n = len(spec)
-    scale = max(1.0, float(np.abs(values).max()))
-    len_tol = 1e-10 * scale
     dirs = np.column_stack([-normals[:, 1], normals[:, 0]])  # CCW edge directions
-
-    actives: list[int] = []
-    los, his = [], []
-    for i in range(n):
-        base = values[i] * normals[i]
-        a = normals @ dirs[i]
-        b = values - (normals @ normals[i]) * values[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            upper = np.where(a > 1e-12, b / a, np.inf)
-            lower = np.where(a < -1e-12, b / a, -np.inf)
-        parallel = np.abs(a) <= 1e-12
-        parallel[i] = False
-        if np.any(b[parallel] < -len_tol):
-            continue  # the line itself is infeasible
-        t_hi, t_lo = upper.min(), lower.max()
-        if t_hi - t_lo <= len_tol:
-            continue  # inactive facet (zero length)
-        actives.append(i)
-        los.append(base + t_lo * dirs[i])
-        his.append(base + t_hi * dirs[i])
+    # Row i clips line i: a[i, j] = <X_j, d_i>, b[i, j] = h_j - <X_j, X_i> h_i.
+    a = np.array([normals @ d for d in dirs])
+    b = np.array([values - (normals @ x) * h for x, h in zip(normals, values)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_hi = np.where(a > ANGLE_TOL, b / a, np.inf).min(axis=1)
+        t_lo = np.where(a < -ANGLE_TOL, b / a, -np.inf).max(axis=1)
+    # Only an antiparallel line can be parallel (the fan's gaps exceed
+    # 2 ANGLE_TOL); a line outside its halfplane is infeasible.
+    parallel = (np.abs(a) <= ANGLE_TOL) & ~np.eye(len(spec), dtype=bool)
+    t_hi[np.any(parallel & (b < 0), axis=1)] = -np.inf
+    length = t_hi - t_lo
+    actives = np.flatnonzero(length > EDGE_TOL * length.max(initial=0.0))
     if len(actives) < 3:
         raise EmptyInterior("halfplane intersection has no interior")
-    # Shared vertex between consecutive active facets: average the two
-    # clipped endpoints (identical up to roundoff).
-    his_arr, los_arr = np.array(his), np.array(los)
-    verts = 0.5 * (his_arr + np.roll(los_arr, -1, axis=0))
-    # Facet k runs from verts[k-1] to verts[k]; re-index so facet k starts at verts[k].
-    verts = np.roll(verts, 1, axis=0)
+    base = values[actives, None] * normals[actives]
+    his = base + t_hi[actives, None] * dirs[actives]
+    los = base + t_lo[actives, None] * dirs[actives]
+    # Facet k starts at verts[k]: its clipped start averaged with the
+    # previous facet's clipped end (identical up to roundoff).
+    verts = 0.5 * (np.roll(his, 1, axis=0) + los)
     try:
-        poly = Polygon.from_vertices(verts, source_index=np.array(actives))
+        poly = Polygon.from_vertices(verts, source_index=actives)
     except InvariantViolation as exc:
         raise EmptyInterior(f"degenerate halfplane intersection: {exc}") from exc
-    if poly.area <= (1e-10 * scale) * scale:
-        raise EmptyInterior("halfplane intersection has zero area")
     object.__setattr__(spec, "_polygon", poly)
     return poly
 
@@ -294,11 +285,11 @@ def translate(p: Polygon, t) -> Polygon:
 
 
 def scale(p: Polygon, s: float) -> Polygon:
-    """Dilation about the origin by s >= 0."""
+    """Dilation about the origin by s > 0."""
     if s < 0:
         raise NegativeScale(f"scale factor must be nonnegative, got {s}")
-    if s * np.sqrt(abs(p.area)) <= 1e-10:
-        raise EmptyInterior("scaling collapses the polygon to zero area")
+    if s == 0:
+        raise EmptyInterior("scaling by 0 collapses the polygon to a point")
     return Polygon(p.vertices * s, source_index=p.source_index)
 
 
@@ -339,18 +330,19 @@ def metrics(p: Polygon) -> PolygonMetrics:
     v = p.vertices
     diffs = v[:, None, :] - v[None, :, :]
     diameter = float(np.sqrt((diffs ** 2).sum(axis=2).max()))
+    circumradius = float(np.sqrt(((v - p.centroid) ** 2).sum(axis=1).max()))
     # Chebyshev center: maximize r subject to <n_i, x> + r <= h_i.
     res = linprog(
         c=[0.0, 0.0, -1.0],
         A_ub=np.column_stack([p.facet_normals, np.ones(len(p))]),
-        b_ub=p.offsets,
+        # on the body centred and divided by R: the LP tolerances are absolute
+        b_ub=(p.offsets - p.facet_normals @ p.centroid) / circumradius,
         bounds=[(None, None), (None, None), (0, None)],
         method="highs",
     )
     if not res.success:
         raise InvariantViolation(f"inradius LP failed: {res.message}")
-    inradius = float(res.x[2])
-    circumradius = float(np.sqrt(((v - p.centroid) ** 2).sum(axis=1).max()))
+    inradius = circumradius * float(res.x[2])
     object.__setattr__(p, "_metrics", PolygonMetrics(diameter, inradius, circumradius))
     return p._metrics
 
@@ -365,7 +357,7 @@ def hausdorff_distance(p: Polygon, q: Polygon) -> float:
     """
     diffs = (p.vertices[:, None, :] - q.vertices[None, :, :]).reshape(-1, 2)
     norms = np.hypot(diffs[:, 0], diffs[:, 1])
-    good = norms > 1e-14
+    good = norms > 0.0  # any unit direction bounds the sup from below
     dirs = np.vstack([
         p.facet_normals,
         q.facet_normals,

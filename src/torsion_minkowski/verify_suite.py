@@ -188,7 +188,7 @@ def continuity_check(p: Polygon, perturbation_scale: float, trials: int,
         d_h = hausdorff_distance(p, q)
         f_q = solve_on_polygon(q, mesh_h * metrics(q).circumradius)
         d_tau1 = abs(facet_measure(f_q).total_mass - tau1_base)
-        if d_h < 1e-14:
+        if d_h < 1e-14 * m.circumradius:  # roundoff: the perturbation moved nothing
             ratio = 0.0
             bad = d_tau1 > 1e-8 * tau1_base
         else:

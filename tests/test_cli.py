@@ -66,6 +66,8 @@ def test_parse_rejects_malformed_payloads(tmp_path, capsys):
         ("text_weights.json", json.dumps({"angles_deg": [0, 90, 180, 270],
                                           "weights": ["a", "b", "c", "d"]})),
         ("text_verts.json", json.dumps({"vertices": "abc"})),
+        ("no_verts.json", json.dumps({"vertices": []})),
+        ("flat_verts.json", json.dumps({"vertices": [1, 2, 3]})),
         ("broken.json", "{not json"),
     ]
     for name, text in cases:

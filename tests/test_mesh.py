@@ -30,6 +30,21 @@ def test_square_coarse_mesh_invariants(square_mesh):
     assert report.ok, report
 
 
+def test_check_mesh_reports_angles_from_vertex_differences(square_mesh):
+    report = check_mesh(square_mesh)
+    tri = square_mesh.nodes[square_mesh.triangles]
+    angles = []
+    for k in range(3):
+        u = tri[:, (k + 1) % 3] - tri[:, k]
+        w = tri[:, (k + 2) % 3] - tri[:, k]
+        cos = np.einsum("ij,ij->i", u, w) / (np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1))
+        angles.append(np.degrees(np.arccos(cos)))
+    angles = np.concatenate(angles)
+    assert report.min_angle_deg == pytest.approx(angles.min(), abs=1e-9)
+    assert report.max_angle_deg == pytest.approx(angles.max(), abs=1e-9)
+    assert report.min_angle_deg < 60.0 < report.max_angle_deg < 180.0
+
+
 def test_target_h_must_be_below_inradius():
     tri = regular_polygon(3, 1.0)
     bad = metrics(tri).inradius * 1.5

@@ -282,6 +282,9 @@ def test_fine_stage_stall_is_named(square_target):
     rep = solve_minkowski(square_target, SolveOptions(tol=1e-4, mesh_h=0.08))
     assert not rep.converged
     assert rep.diagnostics["stop_reason"] == "line_search_stall"
+    stalled, final = rep.diagnostics["iterations_log"][-2:]
+    assert (stalled["backtracks"], stalled["empty_interior"]) == (25, 0)
+    assert (final["backtracks"], final["empty_interior"]) == (0, 0)
 
 
 def test_bounds_escape_is_named(monkeypatch):
@@ -293,6 +296,39 @@ def test_bounds_escape_is_named(monkeypatch):
         solve_minkowski(target, SolveOptions())
     assert info.value.report.diagnostics["stop_reason"] == "bounds_escape"
     assert not info.value.report.converged
+
+
+def test_partial_report_pairs_h_with_its_polygon():
+    # the NoConvergence report's polygon is B[h_final], not the accepted
+    # trial's body from before recentring
+    target = TargetMeasure(AXIS_NORMALS, np.array([0.2, 0.5, 0.2, 0.5]))
+    with pytest.raises(NoConvergence) as info:
+        solve_minkowski(target, SolveOptions(max_iters=1, mesh_h=0.04))
+    rep = info.value.report
+    assert rep.diagnostics["stop_reason"] == "iteration_cap"
+    np.testing.assert_array_equal(rep.polygon.vertices, build_polytope(rep.h_final).vertices)
+    radius = metrics(rep.polygon).circumradius
+    assert np.abs(steiner_point(rep.polygon)).max() <= 1e-12 * radius
+
+
+def test_log_counts_line_search_halvings_and_empty_bodies(monkeypatch):
+    # the first trial body has no interior: one swallowed error, one halving
+    calls = {"n": 0}
+    evaluate = minkowski_solver.objective
+
+    def first_trial_empty(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise EmptyInterior("stub")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(minkowski_solver, "objective", first_trial_empty)
+    target = TargetMeasure(AXIS_NORMALS, np.array([0.2, 0.5, 0.2, 0.5]))
+    with pytest.raises(NoConvergence) as info:
+        solve_minkowski(target, SolveOptions(max_iters=1, mesh_h=0.04))
+    (row,) = info.value.report.diagnostics["iterations_log"]
+    assert row["empty_interior"] == 1
+    assert row["backtracks"] == calls["n"] - 2  # every trial but the accepted one halved
 
 
 def test_solve_scale_equivariance(square_target):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from torsion_minkowski import (
     EmptyInterior,
@@ -19,6 +19,7 @@ from torsion_minkowski import (
     polygon_to_dict,
     regular_polygon,
     scale,
+    solve_on_polygon,
     steiner_point,
     support_spec_of,
     support_values,
@@ -128,7 +129,7 @@ def test_minkowski_square_plus_square(square):
 
 
 def test_minkowski_sum_with_point_is_translation(square):
-    # smallest point-like body the cross-product tolerance admits
+    # a point-like body: its edges stay above EDGE_TOL times the square's
     tiny = regular_polygon(3, 3e-5)
     t = np.array([2.0, -1.0])
     shifted = minkowski_sum(square, translate(tiny, t))
@@ -157,7 +158,8 @@ def test_support_additivity_random_directions(p, q, seed):
 @pytest.mark.parametrize("theta", [1e-11, 1e-10])
 @pytest.mark.parametrize("body", ["square", "hexagon"])
 def test_minkowski_sum_near_parallel_edges(body, theta, request):
-    # edges parallel to within 1e-12..1e-10 rad fuse instead of leaving a corner below CROSS_TOL
+    # edges parallel to within 1e-12..1e-10 rad fuse (their normals are closer
+    # than MIN_ANGULAR_GAP) instead of leaving a corner that turns by less than ANGLE_TOL
     p = request.getfixturevalue(body)
     c, s = np.cos(theta), np.sin(theta)
     q = Polygon.from_vertices(p.vertices @ np.array([[c, s], [-s, c]]))
@@ -165,6 +167,19 @@ def test_minkowski_sum_near_parallel_edges(body, theta, request):
     dirs = angles_to_normals(np.linspace(-np.pi, np.pi, 1000, endpoint=False))
     err = support_values(total, dirs) - support_values(p, dirs) - support_values(q, dirs)
     assert np.abs(err).max() < 1e-9
+
+
+@pytest.mark.parametrize("copy_scale", [1.0, 0.01])
+def test_minkowski_sum_with_a_slightly_turned_copy(copy_scale):
+    # corpus bodies plus a copy turned by a log-uniform angle: whether the
+    # normals fuse or stay, the sum is a valid polygon at either copy scale
+    rng = np.random.default_rng(0)
+    for lo, hi in ((-9, -8), (-8, -6), (-6, -4)):
+        for p in polygon_corpus(11, 200):
+            theta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(lo, hi)
+            c, s = np.cos(theta), np.sin(theta)
+            q = scale(Polygon.from_vertices(p.vertices @ np.array([[c, s], [-s, c]])), copy_scale)
+            minkowski_sum(p, q)
 
 
 # ------------------------------------------------------------- dilation
@@ -178,6 +193,75 @@ def test_scale_examples(square):
         scale(square, -0.5)
     with pytest.raises(EmptyInterior):
         scale(square, 0.0)
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-6, 1e-5, 1e8])
+def test_small_and_large_bodies_accepted(s):
+    # angles and lengths are judged against the body's own size
+    assert len(regular_polygon(6, s)) == 6
+    unit = Polygon.from_vertices([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert scale(unit, s).area == pytest.approx(s * s)
+    p = polygon_corpus(42, 3)[2]
+    assert metrics(scale(p, s)).inradius == pytest.approx(s * metrics(p).inradius, rel=1e-12)
+
+
+@pytest.mark.parametrize("shift", [1e6, 1e8])
+def test_far_translated_spec_keeps_its_facets(shift):
+    spec = support_spec_of(polygon_corpus(42, 50)[30])
+    far = build_polytope(spec.translated([shift, 0.0]))
+    np.testing.assert_array_equal(far.source_index, build_polytope(spec).source_index)
+
+
+CORPUS = polygon_corpus(42, 50)
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(CORPUS) - 2), st.floats(-8.0, 8.0), st.floats(0.0, 1e3),
+       st.floats(0.0, 2.0 * np.pi), st.floats(-np.pi, np.pi), st.sampled_from([-0.02, 0.0, 0.02]))
+def test_acceptance_commutes_with_dilation_and_translation(k, e, rho, phi, extra_angle, depth):
+    # s K + t with s log-uniform in [1e-8, 1e8] and |t| = rho s R <= 1e3 s R
+    p, q = CORPUS[k], CORPUS[k + 1]
+    m = metrics(p)
+    s = 10.0 ** e
+    t = rho * s * m.circumradius * np.array([np.cos(phi), np.sin(phi)])
+    assert len(Polygon(s * p.vertices + t)) == len(p)
+    assert len(Polygon.from_vertices(s * p.vertices + t)) == len(p)
+    moved = translate(scale(p, s), t)
+    assert len(moved) == len(p)
+    # the inradius LP runs on the centred body, so only the input's roundoff remains
+    assert metrics(moved).inradius == pytest.approx(s * m.inradius, rel=64 * EPS * (1 + rho))
+    # one extra constraint cuts a corner, touches a vertex or is slack
+    # (depth -0.02, 0 or 0.02 circumradii), so the active set is tested
+    spec = support_spec_of(p)
+    ang = np.sort(np.append(np.arctan2(spec.normals[:, 1], spec.normals[:, 0]), extra_angle))
+    assume(np.min(np.diff(ang)) > 1e-6)
+    normals = angles_to_normals(ang)
+    values = support_values(p, normals) + depth * m.circumradius * (ang == extra_angle)
+    base = build_polytope(SupportSpec(normals, values))
+    far = build_polytope(SupportSpec(normals, s * values + normals @ t))
+    np.testing.assert_array_equal(far.source_index, base.source_index)
+    far_total = minkowski_sum(moved, translate(scale(q, s), t))
+    np.testing.assert_array_equal(far_total.source_index, minkowski_sum(p, q).source_index)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(CORPUS) - 1), st.floats(-8.0, 8.0))
+def test_metrics_scale_with_dilation(k, e):
+    p, s = CORPUS[k], 10.0 ** e
+    m, ms = metrics(p), metrics(scale(p, s))
+    for name in ("diameter", "inradius", "circumradius"):
+        assert getattr(ms, name) == pytest.approx(s * getattr(m, name), rel=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, len(CORPUS) - 1), st.integers(-26, 26))
+def test_torsion_commutes_with_power_of_two_dilation(k, e):
+    # dilating by 2^e rounds nothing, so the mesh and the solve scale exactly
+    p, s = CORPUS[k], 2.0 ** e
+    h = 0.1 * metrics(p).circumradius
+    tau = solve_on_polygon(p, h).tau_energy
+    assert solve_on_polygon(scale(p, s), s * h).tau_energy / s ** 4 == tau
 
 
 @settings(max_examples=25, deadline=None)
@@ -306,6 +390,13 @@ def test_polygon_json_round_trip(hexagon, tmp_path):
 def test_polygon_from_dict_requires_ccw():
     with pytest.raises(InvariantViolation):
         Polygon.from_vertices([[0, 0], [0, 1], [1, 1], [1, 0]])
+
+
+def test_star_polygon_rejected():
+    # every corner of a pentagram turns left, but its normals wind twice
+    theta = 2.0 * np.pi * np.array([0, 2, 4, 1, 3]) / 5
+    with pytest.raises(InvariantViolation, match="convex"):
+        Polygon.from_vertices(angles_to_normals(theta))
 
 
 def test_polygon_needs_three_vertices():
