@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     TorsionMinkowskiError,
 )
-from .mesh import REL_MESH_H
+from .mesh import REL_MESH_H, check_mesh
 from .minkowski_solver import (
     SolveOptions,
     TargetMeasure,
@@ -171,6 +171,7 @@ def _solve_input_polygon(args: dict):
 def _cmd_torsion(args: dict) -> int:
     m, field = _solve_input_polygon(args)
     mesh = field.mesh
+    quality = check_mesh(mesh)
     _write_json({
         "tau_energy": field.tau_energy,
         "tau_mass": field.tau_mass,
@@ -183,6 +184,8 @@ def _cmd_torsion(args: dict) -> int:
             "circumradius": m.circumradius,
             "diameter": m.diameter,
             "centroid": mesh.polygon.centroid.tolist(),
+            "min_angle_deg": quality.min_angle_deg,
+            "max_angle_deg": quality.max_angle_deg,
         },
     }, args.get("output_path"))
     return EXIT_OK

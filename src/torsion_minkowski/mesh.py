@@ -4,10 +4,12 @@ The generator samples each polygon facet at half the interior target
 spacing (boundary-flux accuracy drives the downstream pipeline), fills the
 interior with a hexagonal lattice anchored at the bounding-box corner and
 relaxes the band of nodes near the boundary with a few Laplacian sweeps.
-Only that band is ever Delaunay-triangulated: the nodes deeper than it are
-unmoved lattice nodes, whose Delaunay triangles are the elementary lattice
-triangles, emitted straight from the lattice indices.  The result is the
-Delaunay triangulation of the whole point set (see ``_stitch``).
+Only that band is ever Delaunay-triangulated, twice: once at the unsmoothed
+positions, whose neighbour lists serve every sweep (see ``_smooth``), and
+once at the final positions, for the mesh.  The nodes deeper than the band
+are unmoved lattice nodes, whose Delaunay triangles are the elementary
+lattice triangles, emitted straight from the lattice indices.  The result
+is the Delaunay triangulation of the whole point set (see ``_stitch``).
 Anchoring the lattice at the bounding box makes meshing equivariant under
 translations and dilations, which the homogeneity and gauge-invariance
 checks rely on.
@@ -194,15 +196,19 @@ def _smooth(points: np.ndarray, n_fixed: int, h_lat: float, polygon: Polygon,
             min_margin: float) -> tuple[np.ndarray, np.ndarray]:
     """Laplacian sweeps over the boundary band, with the first n_fixed pinned.
 
-    A lattice node with all six lattice neighbours sits at their mean, so
-    only nodes within about 1.5 h_lat of the boundary start off balance,
-    and each sweep spreads motion at most one ring (h_lat) deeper.  Nodes
-    deeper than (sweeps + 1.5) h_lat thus never move, and each sweep
-    triangulates only the band at depth <= (sweeps + 3) h_lat: the Delaunay
-    neighbours of a movable node lie under 1.5 h_lat deeper than it, so its
-    star lies in the band, stays Delaunay there and is its full star.  The
-    long triangles the band's Delaunay puts across the hole touch only
-    pinned nodes.
+    Each sweep moves every movable node to the mean of its Delaunay
+    neighbours at the unsmoothed positions: the nodes move by a fraction of
+    h_lat, so one connectivity serves every sweep, as in DistMesh (Persson
+    & Strang, SIAM Review 46, 2004).  A lattice node with all six lattice
+    neighbours sits at their mean, so only nodes within about 1.5 h_lat of
+    the boundary start off balance, and each sweep spreads motion at most
+    one ring (h_lat) deeper.  Nodes deeper than (sweeps + 1.5) h_lat thus
+    never move, and the neighbour lists come from one Delaunay of the band
+    at depth <= (sweeps + 3) h_lat: at the unsmoothed positions the
+    Delaunay neighbours of a movable node lie under 1.5 h_lat deeper than
+    it, so its star lies in the band, is Delaunay there and is its full
+    star.  The long triangles the band's Delaunay puts across the hole
+    touch only pinned nodes.
 
     Returns the smoothed points and the indices of the band's nodes, whose
     Delaunay triangulation at the final positions ``_stitch`` completes
@@ -212,10 +218,10 @@ def _smooth(points: np.ndarray, n_fixed: int, h_lat: float, polygon: Polygon,
     depth = polygon.distance_to_boundary(pts)
     band = np.flatnonzero(depth <= _BAND_RINGS * h_lat)
     movable = (band >= n_fixed) & (depth[band] <= (SMOOTH_SWEEPS + 1.5) * h_lat)
+    indptr, indices = _delaunay(pts[band]).vertex_neighbor_vertices
+    counts = np.maximum(np.diff(indptr), 1)
     for _ in range(SMOOTH_SWEEPS):
         sub = pts[band]
-        indptr, indices = _delaunay(sub).vertex_neighbor_vertices
-        counts = np.maximum(np.diff(indptr), 1)
         means = np.add.reduceat(sub[indices], indptr[:-1], axis=0) / counts[:, None]
         upd = movable & (polygon.distance_to_boundary(means) >= min_margin)
         pts[band[upd]] = means[upd]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .boundary_measure import SurfaceMeasure, torsion_measure
+from .boundary_measure import SurfaceMeasure, representation_residual, torsion_measure
 from .errors import (
     EmptyInterior,
     InvariantViolation,
@@ -129,6 +129,9 @@ class ObjectiveEval:
 
     ``residual`` is the l1 mismatch of the dilation-corrected measure to
     the target weights — the quantity the solve is judged by.
+    ``rep_residual`` is the relative defect of tau = (1/4) sum h_i mu_i,
+    which tracks the discretization error; ``nodes`` counts the mesh's
+    nodes.  Both are invariant under dilation.
     """
 
     J: float
@@ -138,6 +141,8 @@ class ObjectiveEval:
     polygon: Polygon
     phi: float
     residual: float
+    rep_residual: float
+    nodes: int
 
 
 def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float) -> ObjectiveEval:
@@ -159,7 +164,8 @@ def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float) -> Objective
     grad = c * tau ** (-0.25) - 0.25 * phi * tau ** (-1.25) * mu.weights
     scale_cubed = phi / (4.0 * tau)
     residual = float(np.abs(scale_cubed * mu.weights - c).sum() / c.sum())
-    return ObjectiveEval(J, grad, tau, mu, polygon, phi, residual)
+    return ObjectiveEval(J, grad, tau, mu, polygon, phi, residual,
+                         representation_residual(fld, h, mu), mesh.n_nodes)
 
 
 @dataclass
@@ -320,7 +326,8 @@ def _log_row(iteration: int, ev: ObjectiveEval, m, step: float) -> dict:
     report's objective and residual histories."""
     return {"iter": iteration, "J": ev.J, "residual": ev.residual, "tau": ev.tau,
             "inradius": m.inradius, "circumradius": m.circumradius, "step": step,
-            "backtracks": 0, "empty_interior": 0}
+            "backtracks": 0, "empty_interior": 0,
+            "rep_residual": ev.rep_residual, "nodes": ev.nodes}
 
 
 def _report(h, ev, log, iters, stop) -> SolveReport:

@@ -109,6 +109,8 @@ def test_torsion_command(unit_square_file, tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert abs(payload["tau_energy"] - SQUARE_COEFF) / SQUARE_COEFF < 0.005
     assert payload["estimator_gap"] < 1e-8
+    diag = payload["diagnostics"]
+    assert 0 < diag["min_angle_deg"] <= 60 <= diag["max_angle_deg"] < 180
 
 
 def test_measure_command(unit_square_file, tmp_path):

@@ -170,19 +170,26 @@ def _turned(p, angle):
     return Polygon.from_vertices(p.vertices @ np.array([[c, s], [-s, c]]))
 
 
+def _unsmoothed_points(p, target_h):
+    """Number of boundary samples, and the samples followed by the lattice
+    nodes, as ``triangulate`` places them before smoothing."""
+    h_lat = 0.85 * target_h
+    bpts, _ = mesh_module._boundary_samples(p, target_h / 2.0)
+    return len(bpts), np.vstack([bpts, mesh_module._hex_lattice(p, h_lat, margin=0.5 * h_lat)])
+
+
 def _reference_nodes(p, target_h):
     """Node set of the full-Delaunay smoother that band smoothing replaced:
-    every sweep re-triangulates all points and may move every free node."""
+    one Delaunay of all points at the unsmoothed positions gives the
+    neighbour lists, and every sweep may move every free node."""
     spacing = target_h / 2.0
-    h_lat = 0.85 * target_h
-    bpts, _ = mesh_module._boundary_samples(p, spacing)
-    pts = np.vstack([bpts, mesh_module._hex_lattice(p, h_lat, margin=0.5 * h_lat)])
+    n_fixed, pts = _unsmoothed_points(p, target_h)
+    indptr, indices = Delaunay(pts).vertex_neighbor_vertices
+    counts = np.maximum(np.diff(indptr), 1)
     for _ in range(mesh_module.SMOOTH_SWEEPS):
-        indptr, indices = Delaunay(pts).vertex_neighbor_vertices
-        counts = np.maximum(np.diff(indptr), 1)
         means = np.add.reduceat(pts[indices], indptr[:-1], axis=0) / counts[:, None]
         upd = p.distance_to_boundary(means) >= 0.4 * spacing
-        upd[:len(bpts)] = False
+        upd[:n_fixed] = False
         pts = np.where(upd[:, None], means, pts)
     return pts
 
@@ -227,17 +234,31 @@ def test_triangulate_runs_no_full_delaunay(monkeypatch, square):
 
     monkeypatch.setattr(mesh_module, "Delaunay", counting_delaunay)
     m = triangulate(regular_polygon(64), 0.02)
-    assert len(calls) == mesh_module.SMOOTH_SWEEPS + 1
+    assert len(calls) == 2
     assert len({len(pts) for pts in calls}) == 1
     assert len(calls[0]) < m.n_nodes
-    # the last call triangulates the band at its final positions
+    # the first call triangulates the band at its unsmoothed positions, the
+    # last at its final positions
+    start = {tuple(x) for x in _unsmoothed_points(regular_polygon(64), 0.02)[1]}
     final = {tuple(x) for x in m.nodes}
+    assert all(tuple(x) in start for x in calls[0])
+    assert not all(tuple(x) in final for x in calls[0])
     assert all(tuple(x) in final for x in calls[-1])
 
     calls.clear()  # coarse: the band holds every node and is the whole mesh
     coarse = triangulate(square, 0.5)
-    assert [len(pts) for pts in calls] == [coarse.n_nodes] * (mesh_module.SMOOTH_SWEEPS + 1)
+    assert [len(pts) for pts in calls] == [coarse.n_nodes] * 2
     assert check_mesh(coarse).ok
+
+
+@pytest.mark.parametrize("rel, failing", [(0.02, {30}), (0.04, {30, 35})])
+def test_corpus_mesh_verdicts(rel, failing):
+    # the failures are the short-facet cases of ROADMAP item 4, whose
+    # local grading should empty these sets
+    corpus = polygon_corpus(seed=42, count=50)
+    bad = {k for k, p in enumerate(corpus)
+           if not check_mesh(triangulate(p, rel * metrics(p).circumradius)).ok}
+    assert bad == failing
 
 
 def test_refine_matches_midpoint_dictionary(hexagon):

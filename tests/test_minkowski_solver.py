@@ -190,6 +190,12 @@ def test_solve_iterates_respect_apriori_bounds(square_solution):
     assert max(circ) <= circ[0] * 50.0
 
 
+def test_log_rows_report_representation_residual_and_nodes(square_solution):
+    # criterion 03 bounds the representation residual at 1%
+    log = square_solution.diagnostics["iterations_log"]
+    assert all(rec["rep_residual"] < 0.01 and rec["nodes"] > 0 for rec in log)
+
+
 def test_elongated_start_meshes_within_the_inradius(square_target):
     # a 1 x 40 start: a mesh sized from the circumradius alone would not fit
     rep = solve_minkowski(square_target, SolveOptions(init_values=[20.0, 0.5, 20.0, 0.5]))
