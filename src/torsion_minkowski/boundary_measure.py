@@ -1,9 +1,14 @@
 """Boundary flux recovery and the torsion measure.
 
-The normal derivative of the torsion function is recovered by the
-variationally consistent lifting: the boundary mass matrix is solved
-against the residual of the full stiffness system, which restores an
-order of accuracy over raw triangle gradients for boundary functionals.
+The normal derivative of the torsion function is recovered at each
+boundary node as the node's reaction K u - load over its lumped boundary
+mass, half the length of each adjacent boundary edge.  On the Delaunay
+meshes ``triangulate`` builds, every off-diagonal stiffness entry is
+nonpositive and u > 0 inside, so every boundary reaction is negative and
+taking magnitudes flips no sign; since K 1 = 0 and the load sums to twice
+the area, the trapezoidal boundary integral of the flux is then twice the
+area up to the linear-solver tolerance, which is the divergence theorem.
+
 The squared flux integrated facet by facet (trapezoidal in g^2) gives
 the per-normal weights of the torsion measure; corner nodes contribute
 half an edge to each adjacent facet, which is what the trapezoidal rule
@@ -19,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
-from .errors import FacetAttributionMissing, FluxSolveFailure, InvariantViolation
+from .errors import FacetAttributionMissing, InvariantViolation
 from .mesh import refine, triangulate
 from .support_geometry import (
     Polygon,
@@ -72,6 +75,8 @@ class SurfaceMeasure:
         return float(np.linalg.norm(self.weights @ self.normals) / self.total_mass)
 
     def validate(self, budget: float = CLOSURE_BUDGET) -> "SurfaceMeasure":
+        if not self.total_mass > 0.0:
+            raise InvariantViolation("measure total mass must be positive")
         if self.closure_defect > budget:
             raise InvariantViolation(
                 f"measure closure defect {self.closure_defect:.3%} exceeds {budget:.1%}")
@@ -84,29 +89,17 @@ class SurfaceMeasure:
 def boundary_flux(f: TorsionField) -> np.ndarray:
     """Magnitude of the boundary normal derivative, per mesh node.
 
-    Solves the boundary mass system M g = (K u - b) restricted to
-    boundary rows; with the solver's sign convention g approximates
-    du/dnu <= 0, and the returned array stores |g| (zero at interior
-    nodes).
+    Each boundary node's reaction K u - load is divided by its lumped
+    boundary mass, half the length of each adjacent boundary edge; the
+    reaction approximates the integral of du/dnu <= 0 over that share.
+    The returned array stores the magnitude (zero at interior nodes).
     """
     mesh = f.mesh
-    residual = f.stiffness @ f.u - f.load
-    bidx = mesh.boundary_node_ids
-    pos = np.full(mesh.n_nodes, -1, dtype=int)
-    pos[bidx] = np.arange(len(bidx))
-    i = pos[mesh.boundary_edges[:, 0]]
-    j = pos[mesh.boundary_edges[:, 1]]
-    ln = mesh.boundary_edge_lengths
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    vals = np.concatenate([ln / 3.0, ln / 3.0, ln / 6.0, ln / 6.0])
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(len(bidx), len(bidx))).tocsr()
-    # A singular mass matrix makes spsolve warn and return NaN.
-    g = spsolve(M, residual[bidx])
-    if not np.all(np.isfinite(g)):
-        raise FluxSolveFailure("boundary mass solve produced non-finite flux")
+    share = np.bincount(mesh.boundary_edges.ravel(), minlength=mesh.n_nodes,
+                        weights=np.repeat(0.5 * mesh.boundary_edge_lengths, 2))
     out = np.zeros(mesh.n_nodes)
-    out[bidx] = np.abs(g)
+    bidx = mesh.boundary_node_ids
+    out[bidx] = np.abs(f.reaction[bidx]) / share[bidx]
     return out
 
 
@@ -170,7 +163,7 @@ def representation_residual(f: TorsionField, spec: SupportSpec,
 def _tau_refined(p: Polygon, target_h: float):
     """Richardson-extrapolated rigidity from one uniform refinement.
 
-    Returns (tau_extrapolated, coarse field, fine field).  The energy
+    Returns (tau_extrapolated, fine field).  The energy
     converges as O(h^2) on the nested pair, so the extrapolation knocks
     the error down by roughly two more orders; the finite-difference
     Hadamard probe needs that accuracy because it divides tau
@@ -180,7 +173,7 @@ def _tau_refined(p: Polygon, target_h: float):
     f1 = solve_torsion(mesh)
     f2 = solve_torsion(refine(mesh))
     tau = (4.0 * f2.tau_energy - f1.tau_energy) / 3.0
-    return tau, f1, f2
+    return tau, f2
 
 
 @dataclass(frozen=True)
@@ -217,13 +210,13 @@ def hadamard_fd_check(spec: SupportSpec, spec_prime: SupportSpec,
         raise InvariantViolation("s_values must be a nonempty, positive, decreasing list")
     body = build_polytope(spec)
     body_prime = build_polytope(spec_prime)
-    tau0, _, fine = _tau_refined(body, mesh_h)
+    tau0, fine = _tau_refined(body, mesh_h)
     mu = facet_measure(fine)
     predicted = mixed_torsion(mu, body_prime)
     quotients = []
     for s in s_values:
         summed = minkowski_sum(body, scale(body_prime, float(s)))
-        tau_s, _, _ = _tau_refined(summed, mesh_h)
+        tau_s, _ = _tau_refined(summed, mesh_h)
         quotients.append((tau_s - tau0) / s)
     quotients = np.asarray(quotients)
     mismatches = np.abs(quotients - predicted) / abs(predicted)

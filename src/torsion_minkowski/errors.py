@@ -1,7 +1,10 @@
 """Exception hierarchy for the torsion-minkowski package.
 
 The CLI maps these onto exit statuses: validation problems exit 1,
-numerical failures exit 2, non-convergence exits 3.
+numerical failures exit 2, non-convergence exits 3.  The only linear
+solve is the conjugate-gradient torsion solve (LinearSolveFailure); the
+boundary flux is read off that solve's nodal reactions and has no
+failure of its own.
 """
 
 
@@ -41,10 +44,6 @@ class MaximumPrincipleViolation(TorsionMinkowskiError):
 
 class PointOutside(TorsionMinkowskiError):
     """A query point lies outside the meshed polygon."""
-
-
-class FluxSolveFailure(TorsionMinkowskiError):
-    """The boundary-mass system for flux recovery could not be solved."""
 
 
 class FacetAttributionMissing(TorsionMinkowskiError):

@@ -75,6 +75,12 @@ def seeded_rng(seed) -> np.random.Generator:
         raise InvariantViolation(f"bad random seed {seed!r}: {exc}") from exc
 
 
+def _check_trials(trials) -> None:
+    """Reject a trial count that is not a positive integer."""
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise InvariantViolation(f"trials must be a positive integer, got {trials!r}")
+
+
 @dataclass(frozen=True)
 class SupportSpec:
     """Support numbers on a fixed, angularly sorted set of unit normals.

@@ -7,7 +7,9 @@ twice its integral, the mass estimator u . load (the load vector holds
 each node's share of the integral of the constant 2).  The two agree up
 to the linear-solver tolerance (they are algebraically identical for a
 Galerkin solution), so their gap is an a-posteriori check on the linear
-algebra, reported on the field.
+algebra, reported on the field.  The field also keeps the nodal reaction
+K u - load, which is zero at interior nodes up to the solver tolerance and
+carries the boundary flux at boundary nodes.
 
 The interior system is solved by Jacobi-preconditioned conjugate
 gradients with the fixed settings ``LINEAR_TOL`` and ``MAX_CG_ITERS``.
@@ -23,7 +25,7 @@ from scipy.sparse.linalg import cg
 
 from .errors import LinearSolveFailure, MaximumPrincipleViolation, PointOutside
 from .mesh import TriMesh, _p1_basis, triangulate
-from .support_geometry import Polygon, seeded_rng
+from .support_geometry import Polygon, _check_trials, seeded_rng
 
 LINEAR_TOL = 1e-10  # relative CG residual tolerance
 MAX_CG_ITERS = 50_000
@@ -31,15 +33,15 @@ MAX_CG_ITERS = 50_000
 
 @dataclass
 class TorsionField:
-    """Mesh, nodal solution and rigidity values of one torsion solve."""
+    """Mesh, nodal solution, nodal reaction K u - load and rigidity values
+    of one torsion solve."""
 
     mesh: TriMesh
     u: np.ndarray
     tau_energy: float
     tau_mass: float
     estimator_gap: float
-    stiffness: sp.csr_matrix = field(repr=False)
-    load: np.ndarray = field(repr=False)
+    reaction: np.ndarray = field(repr=False)
     _tri_grads: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def triangle_gradients(self) -> np.ndarray:
@@ -109,10 +111,11 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     u = np.zeros(mesh.n_nodes)
     u[idx] = ui
 
-    tau_energy = float(u @ (K @ u))
+    Ku = K @ u
+    tau_energy = float(u @ Ku)
     tau_mass = float(u @ b)
     gap = abs(tau_energy - tau_mass) / tau_energy
-    return TorsionField(mesh, u, tau_energy, tau_mass, gap, K, b)
+    return TorsionField(mesh, u, tau_energy, tau_mass, gap, Ku - b)
 
 
 def solve_on_polygon(p: Polygon, target_h: float) -> TorsionField:
@@ -150,6 +153,7 @@ def check_sqrt_concavity(f: TorsionField, trials: int = 1000,
     average with slack 0.02 * max sqrt(u).  Violations are reported, not
     raised.
     """
+    _check_trials(trials)
     rng = seeded_rng(rng_seed)
     mesh = f.mesh
     areas = mesh.triangle_areas()

@@ -26,6 +26,7 @@ from .mesh import REL_MESH_H
 from .support_geometry import (
     Polygon,
     SupportSpec,
+    _check_trials,
     _cyclic_gaps,
     angles_to_normals,
     build_polytope,
@@ -138,8 +139,8 @@ def brunn_minkowski_check(p0: Polygon, p1: Polygon, t_grid,
     ``BM_EQUALITY_TOL``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any((t_grid <= 0) | (t_grid >= 1)):
-        raise InvariantViolation("t_grid must lie strictly inside (0, 1)")
+    if t_grid.ndim != 1 or len(t_grid) == 0 or not np.all((t_grid > 0) & (t_grid < 1)):
+        raise InvariantViolation("t_grid must be a nonempty list strictly inside (0, 1)")
     q0, q1 = _tau_quarter(p0, mesh_h), _tau_quarter(p1, mesh_h)
     homothetic = is_homothetic(p0, p1)
     details = []
@@ -170,6 +171,7 @@ def continuity_check(p: Polygon, perturbation_scale: float, trials: int,
     inradius — an engineering budget standing in for the continuity
     statement, which provides no modulus.
     """
+    _check_trials(trials)
     m = metrics(p)
     if perturbation_scale >= 0.1 * m.inradius:
         raise InvariantViolation("perturbation_scale must stay below 0.1 * inradius")
@@ -207,8 +209,8 @@ def homogeneity_check(p: Polygon, scales, mesh_h: float = REL_MESH_H) -> CheckRe
     """Dilation homogeneity: tau scales with the 4th power, the mixed
     rigidity against a fixed comparison octagon with the 3rd."""
     scales = np.asarray(scales, dtype=float)
-    if np.any(scales <= 0):
-        raise InvariantViolation("scales must be positive")
+    if scales.ndim != 1 or len(scales) == 0 or not np.all(scales > 0):
+        raise InvariantViolation("scales must be a nonempty list of positive values")
     comparison = regular_polygon(8, 1.0)
     m = metrics(p)
     f0 = solve_on_polygon(p, mesh_h * m.circumradius)

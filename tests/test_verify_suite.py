@@ -119,3 +119,18 @@ def test_corpus_battery_50_polygons():
     assert {r.name for r in reports} == {"brunn_minkowski", "continuity", "homogeneity"}
     for r in reports:
         assert r.ok, (r.name, r.failures, r.worst_margin)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, f: check_sqrt_concavity(f, trials=0),
+    lambda p, f: check_sqrt_concavity(f, trials=-1),
+    lambda p, f: check_sqrt_concavity(f, trials=2.5),
+    lambda p, f: brunn_minkowski_check(p, scale(p, 2.0), []),
+    lambda p, f: homogeneity_check(p, []),
+    lambda p, f: continuity_check(p, 0.01, trials=0),
+], ids=["concavity-0", "concavity-negative", "concavity-fractional",
+        "bm-empty-grid", "homogeneity-empty-scales", "continuity-0"])
+def test_empty_or_invalid_trial_counts_rejected(square, square_field, call):
+    # a check over no trials would pass vacuously
+    with pytest.raises(InvariantViolation):
+        call(square, square_field)
