@@ -129,7 +129,9 @@ def _spec_from(data: dict, path: str):
 
 
 def _file_options(data: dict, path: str) -> dict:
-    """A target file's ``options``, each converted by its flag's type."""
+    """A target file's ``options``, each read like its flag: the flag's
+    type converts the value's text, so neither ``2.7`` nor ``true`` is an
+    iteration cap."""
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise ParseError(f"{path}: 'options' must be an object")
@@ -138,7 +140,7 @@ def _file_options(data: dict, path: str) -> dict:
         raise ParseError(f"{path}: unknown key(s) {', '.join(unknown)} in 'options' "
                          f"(accepted: {', '.join(SOLVE_OPTIONS)})")
     try:
-        return {key: FLAGS["--" + key.replace("_", "-")]["type"](value)
+        return {key: FLAGS["--" + key.replace("_", "-")]["type"](str(value))
                 for key, value in opts.items()}
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed 'options': {exc}") from exc

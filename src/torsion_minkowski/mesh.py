@@ -1,18 +1,16 @@
 """Conforming triangulations of convex polygons.
 
 The generator samples each polygon facet at half the interior target
-spacing (boundary-flux accuracy drives the downstream pipeline), fills the
-interior with a hexagonal lattice anchored at the bounding-box corner and
-relaxes the band of nodes near the boundary with a few Laplacian sweeps.
-Only that band is ever Delaunay-triangulated, twice: once at the unsmoothed
-positions, whose neighbour lists serve every sweep (see ``_smooth``), and
-once at the final positions, for the mesh.  The nodes deeper than the band
-are unmoved lattice nodes, whose Delaunay triangles are the elementary
-lattice triangles, emitted straight from the lattice indices.  The result
-is the Delaunay triangulation of the whole point set (see ``_stitch``).
-Anchoring the lattice at the bounding box makes meshing equivariant under
-translations and dilations, which the homogeneity and gauge-invariance
-checks rely on.
+spacing (boundary-flux accuracy drives the downstream pipeline) and fills
+the interior with a hexagonal lattice anchored at the bounding-box corner,
+keeping the lattice points at least 0.4 lattice spacings deep.  Nothing
+moves the nodes afterwards, so they are closed-form in the polygon's
+vertices.  The mesh is their Delaunay triangulation, from one qhull call
+on the boundary band (the nodes at most 1.5 lattice spacings deep) and the
+elementary lattice triangles of the deeper nodes, emitted straight from
+the lattice indices (see ``_stitch``).  Anchoring the lattice at the
+bounding box makes meshing equivariant under translations and dilations,
+which the homogeneity and gauge-invariance checks rely on.
 
 Every boundary edge is attributed to the polygon facet it lies on, so
 boundary integrals can be assembled facet by facet.
@@ -30,8 +28,8 @@ from .support_geometry import Polygon, metrics
 
 NODE_CAP = 2_000_000  # triangulate and refine raise MeshTooFine above this
 REL_MESH_H = 0.02  # default spacing relative to a body's circumradius (solver, verify checks, CLI)
-SMOOTH_SWEEPS = 4
-_BAND_RINGS = SMOOTH_SWEEPS + 3  # band depth in lattice spacings (see _smooth)
+LATTICE_MARGIN = 0.4  # kept lattice points lie at least this many lattice spacings deep
+_BAND_RINGS = 1.5  # band depth in lattice spacings, > 2/sqrt(3) and > 1 + LATTICE_MARGIN (_stitch)
 MIN_ANGLE_DEG = 20.0  # smallest triangle angle check_mesh accepts
 LOCATE_CANDIDATES = 16  # nearest triangle centroids tried before a full scan
 
@@ -173,8 +171,8 @@ def _boundary_samples(p: Polygon, spacing: float):
     return np.vstack(pts), np.concatenate(facets)
 
 
-def _hex_lattice(p: Polygon, h: float, margin: float) -> np.ndarray:
-    """Hexagonal lattice points strictly inside the polygon.
+def _hex_lattice(p: Polygon, h: float) -> np.ndarray:
+    """Hexagonal lattice points at depth >= LATTICE_MARGIN * h in the polygon.
 
     Anchored at the bounding-box corner so the construction commutes with
     translations and dilations of the polygon.
@@ -188,66 +186,37 @@ def _hex_lattice(p: Polygon, h: float, margin: float) -> np.ndarray:
     x = xmin + ix * h + (iy % 2) * (h / 2.0)
     y = ymin + iy * dy
     pts = np.column_stack([x.ravel(), y.ravel()])
-    keep = p.distance_to_boundary(pts) >= margin
+    keep = p.distance_to_boundary(pts) >= LATTICE_MARGIN * h
     return pts[keep]
 
 
-def _smooth(points: np.ndarray, n_fixed: int, h_lat: float, polygon: Polygon,
-            min_margin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Laplacian sweeps over the boundary band, with the first n_fixed pinned.
-
-    Each sweep moves every movable node to the mean of its Delaunay
-    neighbours at the unsmoothed positions: the nodes move by a fraction of
-    h_lat, so one connectivity serves every sweep, as in DistMesh (Persson
-    & Strang, SIAM Review 46, 2004).  A lattice node with all six lattice
-    neighbours sits at their mean, so only nodes within about 1.5 h_lat of
-    the boundary start off balance, and each sweep spreads motion at most
-    one ring (h_lat) deeper.  Nodes deeper than (sweeps + 1.5) h_lat thus
-    never move, and the neighbour lists come from one Delaunay of the band
-    at depth <= (sweeps + 3) h_lat: at the unsmoothed positions the
-    Delaunay neighbours of a movable node lie under 1.5 h_lat deeper than
-    it, so its star lies in the band, is Delaunay there and is its full
-    star.  The long triangles the band's Delaunay puts across the hole
-    touch only pinned nodes.
-
-    Returns the smoothed points and the indices of the band's nodes, whose
-    Delaunay triangulation at the final positions ``_stitch`` completes
-    with the lattice triangles of the unmoved interior.
-    """
-    pts = points.copy()
-    depth = polygon.distance_to_boundary(pts)
-    band = np.flatnonzero(depth <= _BAND_RINGS * h_lat)
-    movable = (band >= n_fixed) & (depth[band] <= (SMOOTH_SWEEPS + 1.5) * h_lat)
-    indptr, indices = _delaunay(pts[band]).vertex_neighbor_vertices
-    counts = np.maximum(np.diff(indptr), 1)
-    for _ in range(SMOOTH_SWEEPS):
-        sub = pts[band]
-        means = np.add.reduceat(sub[indices], indptr[:-1], axis=0) / counts[:, None]
-        upd = movable & (polygon.distance_to_boundary(means) >= min_margin)
-        pts[band[upd]] = means[upd]
-    return pts, band
-
-
-def _stitch(points: np.ndarray, band: np.ndarray, lattice: np.ndarray, h_lat: float,
-            polygon: Polygon) -> np.ndarray:
+def _stitch(points: np.ndarray, first: int, h_lat: float, polygon: Polygon) -> np.ndarray:
     """Delaunay triangles of all points, counterclockwise, from one Delaunay
-    of the band and the lattice indices of the rest.
+    of the boundary band and the lattice indices of the rest.
 
-    The last points are the hexagonal lattice nodes of spacing h_lat
-    whose unsmoothed positions are ``lattice``.  A node outside the band lies deeper than (sweeps + 3) h_lat.
-    Every node within 2 h_lat / sqrt(3) of it, its six lattice neighbours
-    among them, lies deeper than (sweeps + 1.8) h_lat, where smoothing
-    moved no node, so is an unmoved lattice node.  No lattice node lies in
-    the circumdisk of an elementary lattice triangle, so the Delaunay star
-    of a node outside the band is its six elementary triangles, emitted
-    from the lattice indices.  The triangles with all three nodes in the
-    band are those of the band's Delaunay whose circumdisk holds no node
-    outside the band.  A circumdisk whose centre depth plus radius stays
-    below the band depth holds none, as depth is 1-Lipschitz; that decides
-    most band triangles without a query.  For the rest (the slivers beside
-    short facets and the long triangles across the hole) the nearest node
-    outside the band decides.
+    The points before ``first`` are boundary samples, at depth <= 0; the
+    rest are the lattice nodes of spacing h_lat that ``_hex_lattice`` kept,
+    at depth >= LATTICE_MARGIN h_lat.  The band holds the points at depth
+    <= B h_lat, B = _BAND_RINGS.  Take a node deeper than B h_lat; depth is
+    1-Lipschitz.  Every point within 2 h_lat / sqrt(3) of it (the
+    circumdisks of its six elementary triangles) is deeper than
+    (B - 2 / sqrt(3)) h_lat > 0, so is a lattice node, and no lattice node
+    lies inside the circumdisk of an elementary triangle.  Its six lattice
+    neighbours are deeper than (B - 1) h_lat >= LATTICE_MARGIN h_lat, so
+    the keep test kept them.  The Delaunay star of a node outside the band
+    is thus its six elementary triangles, emitted from the lattice indices.
+    B = 1.5 meets both bounds with slack, which is needed: beside a facet
+    parallel to the lattice columns, lattice depths fall on multiples of
+    h_lat / 2, where both depth tests are decided by roundoff.
+
+    The triangles with all three nodes in the band are those of the band's
+    Delaunay whose circumdisk holds no node outside the band.  A circumdisk
+    whose centre depth plus radius stays below the band depth holds none;
+    that decides most band triangles without a query.  For the rest (the
+    slivers beside short facets and the long triangles across the hole)
+    the nearest node outside the band decides.
     """
+    band = np.flatnonzero(polygon.distance_to_boundary(points) <= _BAND_RINGS * h_lat)
     outside = np.ones(len(points), dtype=bool)
     outside[band] = False
     tris = band[_delaunay(points[band]).simplices]
@@ -257,8 +226,7 @@ def _stitch(points: np.ndarray, band: np.ndarray, lattice: np.ndarray, h_lat: fl
     nearest, _ = cKDTree(points[outside]).query(centre[unsure])
     keep[unsure] = nearest >= radius[unsure]
     return np.vstack([_orient(points, tris[keep]),
-                      _lattice_triangles(lattice, len(points) - len(lattice), h_lat,
-                                         outside)])
+                      _lattice_triangles(points[first:], first, h_lat, outside)])
 
 
 def _delaunay(points: np.ndarray) -> Delaunay:
@@ -283,7 +251,7 @@ def _lattice_triangles(lattice: np.ndarray, first: int, h: float,
     """Counterclockwise elementary triangles of a hexagonal lattice that
     have a node in ``outside``.
 
-    ``lattice`` holds the points of ``_hex_lattice(p, h, ...)``, numbered
+    ``lattice`` holds the points of ``_hex_lattice(p, h)``, numbered
     from ``first``.  Row iy and doubled column j = 2 ix + (iy % 2) come
     from rounding; in (iy, j) the neighbours of a node are (iy, j +- 2)
     and (iy +- 1, j +- 1), whatever the lattice's anchor.
@@ -317,17 +285,15 @@ def triangulate(p: Polygon, target_h: float) -> TriMesh:
     if target_h >= inradius:
         raise InvariantViolation(
             f"target_h={target_h:g} must be below the inradius {inradius:g}")
-    spacing = target_h / 2.0
-    bpts, bfacets = _boundary_samples(p, spacing)
+    bpts, bfacets = _boundary_samples(p, target_h / 2.0)
     h_lat = 0.85 * target_h
-    interior = _hex_lattice(p, h_lat, margin=0.5 * h_lat)
+    interior = _hex_lattice(p, h_lat)
     n_total = len(bpts) + len(interior)
     if n_total > NODE_CAP:
         raise MeshTooFine(f"mesh would need {n_total} nodes (cap {NODE_CAP})")
     nb = len(bpts)
-    points, band = _smooth(np.vstack([bpts, interior]), nb, h_lat, p,
-                           min_margin=0.4 * spacing)
-    triangles = _stitch(points, band, interior, h_lat, p)
+    points = np.vstack([bpts, interior])
+    triangles = _stitch(points, nb, h_lat, p)
     edges = np.column_stack([np.arange(nb), (np.arange(nb) + 1) % nb])
     lengths = np.hypot(*(points[edges[:, 1]] - points[edges[:, 0]]).T)
     mesh = TriMesh(points, triangles, edges, bfacets, lengths, target_h, p)

@@ -76,8 +76,8 @@ def seeded_rng(seed) -> np.random.Generator:
 
 
 def _check_trials(trials) -> None:
-    """Reject a trial count that is not a positive integer."""
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    """Reject a trial count that is not a positive integer (a bool is none)."""
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
         raise InvariantViolation(f"trials must be a positive integer, got {trials!r}")
 
 

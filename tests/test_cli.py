@@ -328,6 +328,9 @@ def test_bad_numeric_flag_exits_1(command, flag, value, input_files, capsys):
     ({"max_iter": 1}, "max_iter"),
     ({"tol": "abc"}, "options"),
     ({"mesh_h": [0.03]}, "options"),
+    ({"max_iters": 2.7}, "options"),
+    ({"max_iters": True}, "options"),
+    ({"tol": True}, "options"),
 ])
 def test_bad_target_file_options_exit_1(options, needle, tmp_path, capsys):
     path = tmp_path / "target.json"

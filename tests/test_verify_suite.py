@@ -128,8 +128,11 @@ def test_corpus_battery_50_polygons():
     lambda p, f: brunn_minkowski_check(p, scale(p, 2.0), []),
     lambda p, f: homogeneity_check(p, []),
     lambda p, f: continuity_check(p, 0.01, trials=0),
+    lambda p, f: check_sqrt_concavity(f, trials=True),
+    lambda p, f: continuity_check(p, 0.01, trials=True),
 ], ids=["concavity-0", "concavity-negative", "concavity-fractional",
-        "bm-empty-grid", "homogeneity-empty-scales", "continuity-0"])
+        "bm-empty-grid", "homogeneity-empty-scales", "continuity-0",
+        "concavity-bool", "continuity-bool"])
 def test_empty_or_invalid_trial_counts_rejected(square, square_field, call):
     # a check over no trials would pass vacuously
     with pytest.raises(InvariantViolation):
