@@ -1,7 +1,8 @@
 """Inverse solver: recover the polygon whose torsion measure matches a
 balanced target.
 
-The target problem is solved by descent on the scale-invariant objective
+The target problem is solved by quasi-Newton (BFGS) descent on the
+scale-invariant objective
 
     J(h) = (sum_i c_i h_i) / tau(B[h])^(1/4),
 
@@ -19,9 +20,18 @@ tau scales by s^4, mu by s^3, Phi by s and grad J by 1/s, while J and
 the residual are unchanged.  The constrained problem's multiplier is the
 optimal value of J and is reported alongside the solution.
 
+The descent direction is -H grad J, H being a dense BFGS approximation
+of the inverse Hessian (Nocedal & Wright, Numerical Optimization, ch. 6;
+N <= 32, so an N x N matrix is cheap).  H is built from the secant pairs
+of accepted steps, scaled at the first pair by eq. 6.20, and kept from
+the coarse mesh stage into the fine one.  Until the first pair, and
+whenever -H grad J is not a descent direction, the step follows -grad J.
+A pair without positive curvature (s . y <= 0) leaves H unchanged.
+
 Each accepted iterate is recentred so its Steiner point sits at the
 origin, removing the translation null direction a balanced target
-induces.
+induces.  A translation changes neither J nor its gradient, so the
+secant pair is taken from the accepted step before recentring.
 """
 
 from __future__ import annotations
@@ -214,8 +224,15 @@ class SolveReport:
 
 
 def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> SolveReport:
-    """Descent with backtracking line search from h = 1 (or a supplied
-    start), followed by the homogeneity rescale.
+    """BFGS descent with a backtracking line search from h = 1 (or a
+    supplied start), followed by the homogeneity rescale.
+
+    Each line search runs along d = -H grad J, or along -grad J while H
+    is unset or when d is not a descent direction.  Its first trial step
+    is min(1, cap), where cap = inradius / (2 max|d|) keeps the trial
+    body nonempty; it halves the step up to 25 times until the Armijo test
+    J(h + step d) <= J(h) + 5e-5 step (d . grad J) holds.  The accepted
+    step's secant pair updates H; a pair with s . y <= 0 is skipped.
 
     The report is the last fine-stage evaluation, dilated in closed form;
     only the loop decides ``converged``.  ``diagnostics["stop_reason"]``
@@ -224,7 +241,10 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     last two raise NoConvergence with the partial report attached; an
     iterate escapes when it leaves the a-priori size bounds derived from
     the first iterate.  A log row counts the halvings (``backtracks``) and
-    swallowed EmptyInterior errors (``empty_interior``) of its line search.
+    swallowed EmptyInterior errors (``empty_interior``) of its line search
+    and names its ``direction``: ``"bfgs"``, or ``"gradient"`` for the
+    -grad J fallback (``None`` on a row that ran no line search).
+    ``diagnostics["objective_calls"]`` counts the objective evaluations.
     """
     opts = opts or SolveOptions()
     c = target.weights
@@ -237,14 +257,16 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     coarse_gate = max(3.0 * opts.tol, 0.03)
     log: list[dict] = []
     bounds = None
-    step = None
+    H = None  # inverse-Hessian approximation, set at the first secant pair
+    step = 0.0  # accepted step of the line search that reached the iterate
     failure = None  # message of a NoConvergence exit
     iters = 0
 
     ev = _eval(h, target, opts, stage_scale)
+    calls = 1  # objective evaluations
     while iters < opts.max_iters:
         m = metrics(ev.polygon)
-        log.append(_log_row(iters, ev, m, 0.0 if step is None else step))
+        log.append(_log_row(iters, ev, m, step))
         if bounds is None:
             bounds = (m.inradius / BOUNDS_SLACK, m.circumradius * BOUNDS_SLACK)
         if not (bounds[0] <= m.inradius and m.circumradius <= bounds[1]):
@@ -252,7 +274,8 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
             failure = (f"iterate escaped a-priori bounds (inradius {m.inradius:.3g}, "
                        f"circumradius {m.circumradius:.3g})")
             break
-        gnorm = float(np.linalg.norm(ev.grad_J))
+        g = ev.grad_J
+        gnorm = float(np.linalg.norm(g))
         gtol = opts.tol * ev.tau ** (-0.25) * float(np.linalg.norm(c))
         at_fine = stage_scale == 1.0
         # Stop on the l1 residual the report is judged by, not an l2 gradient test.
@@ -262,34 +285,41 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
         gate_met = not at_fine and (ev.residual <= coarse_gate or gnorm <= 3.0 * gtol)
         accepted = None
         if not gate_met:
+            direction = -g if H is None else -H @ g
+            kind = "gradient" if H is None else "bfgs"
+            if direction @ g >= 0:  # -H g is no descent direction
+                direction, kind = -g, "gradient"
+            slope = float(direction @ g)
             # Line-search cap from the perturbation bound: a step below
             # inradius / (2 max|direction|) keeps the trial body well inside
             # its support-number envelope, so EmptyInterior cannot occur.
-            direction = -ev.grad_J
             cap = m.inradius / (2.0 * float(np.abs(direction).max()))
-            step = cap if step is None else min(2.0 * step, cap)
+            step = min(1.0, cap)
             backtracks = empty = 0
             for _ in range(25):
                 trial = h.with_values(h.values + step * direction)
+                calls += 1
                 try:
                     trial_ev = _eval(trial, target, opts, stage_scale)
                 except EmptyInterior:
                     empty += 1
                 else:
-                    if trial_ev.J <= ev.J - 5e-5 * step * gnorm ** 2:
+                    if trial_ev.J <= ev.J + 5e-5 * step * slope:
                         accepted = (trial, trial_ev)
                         break
                 backtracks += 1
                 step *= 0.5
-            log[-1].update(backtracks=backtracks, empty_interior=empty)
+            log[-1].update(backtracks=backtracks, empty_interior=empty, direction=kind)
         if accepted is not None:
             h, ev = accepted
+            H = _bfgs_update(H, step * direction, ev.grad_J - g)
             h = h.translated(-steiner_point(ev.polygon))
         elif at_fine:  # line search stalled at the discretization floor
             stop = "line_search_stall"
             break
         else:  # coarse gate met or coarse line search stalled: go fine
             stage_scale = 1.0
+            calls += 1
             ev = _eval(h, target, opts, stage_scale)
         iters += 1
     else:
@@ -297,7 +327,7 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
         failure = (f"no convergence in {opts.max_iters} iterations "
                    f"(residual {ev.residual:.3g})")
     if failure is not None:
-        raise NoConvergence(failure, report=_report(h, ev, log, iters, stop))
+        raise NoConvergence(failure, report=_report(h, ev, log, iters, stop, calls))
 
     # Homogeneity rescale: mu scales with the cube of a dilation, so this
     # lands the stationary measure (4 tau / Phi) c on c itself.  The dilated
@@ -308,7 +338,21 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     final = replace(ev, grad_J=ev.grad_J / s, tau=s ** 4 * ev.tau, mu=mu,
                     polygon=build_polytope(h), phi=s * ev.phi)
     log.append(_log_row(iters, final, metrics(final.polygon), 0.0))
-    return _report(h, final, log, iters, stop)
+    return _report(h, final, log, iters, stop, calls)
+
+
+def _bfgs_update(H, s: np.ndarray, y: np.ndarray):
+    """BFGS update of the inverse Hessian H by the secant pair (s, y)
+    (Nocedal & Wright eq. 6.17); ``H is None`` before the first pair,
+    which then sets H0 = (s . y / y . y) I (eq. 6.20).  Without positive
+    curvature, s . y <= 0, H is returned unchanged."""
+    sy = float(s @ y)
+    if sy <= 0:
+        return H
+    if H is None:
+        H = (sy / float(y @ y)) * np.eye(len(s))
+    V = np.eye(len(s)) - np.outer(s, y) / sy
+    return V @ H @ V.T + np.outer(s, s) / sy
 
 
 def _eval(h: SupportSpec, target: TargetMeasure, opts: SolveOptions,
@@ -326,11 +370,11 @@ def _log_row(iteration: int, ev: ObjectiveEval, m, step: float) -> dict:
     report's objective and residual histories."""
     return {"iter": iteration, "J": ev.J, "residual": ev.residual, "tau": ev.tau,
             "inradius": m.inradius, "circumradius": m.circumradius, "step": step,
-            "backtracks": 0, "empty_interior": 0,
+            "backtracks": 0, "empty_interior": 0, "direction": None,
             "rep_residual": ev.rep_residual, "nodes": ev.nodes}
 
 
-def _report(h, ev, log, iters, stop) -> SolveReport:
+def _report(h, ev, log, iters, stop, calls) -> SolveReport:
     polygon = build_polytope(h)  # ev.polygon may predate the recentring of h
     m = metrics(polygon)
     return SolveReport(
@@ -344,6 +388,7 @@ def _report(h, ev, log, iters, stop) -> SolveReport:
         converged=stop == "residual",
         diagnostics={
             "stop_reason": stop,
+            "objective_calls": calls,
             "iterations_log": log,
             "final_inradius": m.inradius,
             "final_circumradius": m.circumradius,

@@ -216,9 +216,63 @@ def test_solve_sixteen_normals_weight_ratio_five():
         w = w - X @ np.linalg.solve(X.T @ X, w @ X)
     target = TargetMeasure(X, w)
     assert target.weights.max() / target.weights.min() <= 5.0
-    rep = solve_minkowski(target, SolveOptions(max_iters=200))
+    rep = solve_minkowski(target, SolveOptions())
     assert rep.converged
     assert rep.residual_history[-1] <= 0.02
+    assert rep.diagnostics["objective_calls"] <= 25  # steepest descent took 81
+
+
+def test_corpus_target_converges_in_few_evaluations():
+    # steepest descent took 21 objective calls here; the first line search
+    # has no secant pair yet and follows the gradient, the later ones BFGS
+    target, _ = corpus_measure_target(7)
+    rep = solve_minkowski(target, SolveOptions())
+    assert rep.converged
+    assert rep.diagnostics["objective_calls"] <= 10
+    searched = [row["direction"] for row in rep.diagnostics["iterations_log"]
+                if row["direction"] is not None]
+    assert searched[0] == "gradient" and set(searched[1:]) == {"bfgs"}
+
+
+def test_non_descent_bfgs_direction_falls_back_to_the_gradient(monkeypatch):
+    # a negative definite H makes -H g an ascent direction after every update
+    monkeypatch.setattr(minkowski_solver, "_bfgs_update",
+                        lambda H, s, y: -np.eye(len(s)))
+    target, _ = corpus_measure_target(7)
+    rep = solve_minkowski(target, SolveOptions())
+    assert rep.converged
+    searched = [row["direction"] for row in rep.diagnostics["iterations_log"]
+                if row["direction"] is not None]
+    assert len(searched) >= 2 and set(searched) == {"gradient"}
+
+
+def stretched_measure_target(seed: int, max_facets: int, stretch: float) -> TargetMeasure:
+    """The measure of the first member of ``polygon_corpus(seed, 20,
+    max_facets)``, stretched in x, that the balance projection accepts.
+
+    Built as ``conftest.corpus_measure_target`` builds its targets, but
+    weak facets are kept: stretching makes the short facets weak.
+    """
+    for p in polygon_corpus(seed, 20, max_facets=max_facets):
+        p = Polygon.from_vertices(p.vertices * [stretch, 1.0])
+        mu = facet_measure(solve_on_polygon(p, 0.03 * metrics(p).circumradius))
+        try:
+            return project_balance(mu.weights, p.facet_normals)
+        except UnbalanceableMeasure:
+            continue
+    raise RuntimeError(f"no usable stretched corpus target for seed {seed}")
+
+
+@pytest.mark.parametrize("stretch", [3.0, 6.0])
+@pytest.mark.parametrize("seed,max_facets", [(7, 8), (31, 16), (77, 32), (77, 8)])
+def test_stretched_corpus_targets_converge(seed, max_facets, stretch):
+    # R / r up to 6.4; steepest descent took 6-36 objective calls here.  The
+    # residual is the solver's contract: (77, 8) stretched 6x is a 4-gon
+    # whose shape error is 0.039 R at a converged residual of 0.0084.
+    rep = solve_minkowski(stretched_measure_target(seed, max_facets, stretch), SolveOptions())
+    assert rep.converged
+    assert rep.residual_history[-1] <= SolveOptions().tol
+    assert rep.diagnostics["objective_calls"] <= 12
 
 
 def test_fine_stage_stops_on_the_l1_residual():
@@ -253,9 +307,10 @@ def test_each_evaluation_runs_one_lp(monkeypatch):
 
     monkeypatch.setattr(support_geometry, "linprog", counting_linprog)
     monkeypatch.setattr(minkowski_solver, "objective", counting_objective)
-    solve_minkowski(target, SolveOptions())
+    rep = solve_minkowski(target, SolveOptions())
     assert counts["evals"] > 0
     assert counts["lp"] == counts["evals"] + 1
+    assert rep.diagnostics["objective_calls"] == counts["evals"]
 
 
 def test_solve_reports_the_dilated_last_evaluation(monkeypatch, square_target):
