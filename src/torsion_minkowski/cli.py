@@ -170,10 +170,18 @@ def _solve_input_polygon(args: dict):
     return m, solve_on_polygon(body, args.get("mesh_h", REL_MESH_H) * m.circumradius)
 
 
+def _solve_diagnostics(field) -> dict:
+    """What the torsion solve did: the mesh's angle extremes and the CG
+    iteration count."""
+    quality = check_mesh(field.mesh)
+    return {"min_angle_deg": quality.min_angle_deg,
+            "max_angle_deg": quality.max_angle_deg,
+            "cg_iterations": field.cg_iterations}
+
+
 def _cmd_torsion(args: dict) -> int:
     m, field = _solve_input_polygon(args)
     mesh = field.mesh
-    quality = check_mesh(mesh)
     _write_json({
         "tau_energy": field.tau_energy,
         "tau_mass": field.tau_mass,
@@ -186,8 +194,7 @@ def _cmd_torsion(args: dict) -> int:
             "circumradius": m.circumradius,
             "diameter": m.diameter,
             "centroid": mesh.polygon.centroid.tolist(),
-            "min_angle_deg": quality.min_angle_deg,
-            "max_angle_deg": quality.max_angle_deg,
+            **_solve_diagnostics(field),
         },
     }, args.get("output_path"))
     return EXIT_OK
@@ -199,6 +206,8 @@ def _cmd_measure(args: dict) -> int:
     payload = mu.to_dict()
     payload["total_mass"] = mu.total_mass
     payload["closure_defect"] = mu.closure_defect
+    payload["nodes"] = field.mesh.n_nodes
+    payload["diagnostics"] = _solve_diagnostics(field)
     _write_json(payload, args.get("output_path"))
     return EXIT_OK
 

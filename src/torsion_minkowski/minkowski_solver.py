@@ -141,7 +141,8 @@ class ObjectiveEval:
     the target weights — the quantity the solve is judged by.
     ``rep_residual`` is the relative defect of tau = (1/4) sum h_i mu_i,
     which tracks the discretization error; ``nodes`` counts the mesh's
-    nodes.  Both are invariant under dilation.
+    nodes.  Both are invariant under dilation.  ``cg_iterations`` counts
+    the torsion solve's CG iterations.
     """
 
     J: float
@@ -153,6 +154,7 @@ class ObjectiveEval:
     residual: float
     rep_residual: float
     nodes: int
+    cg_iterations: int
 
 
 def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float) -> ObjectiveEval:
@@ -175,7 +177,8 @@ def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float) -> Objective
     scale_cubed = phi / (4.0 * tau)
     residual = float(np.abs(scale_cubed * mu.weights - c).sum() / c.sum())
     return ObjectiveEval(J, grad, tau, mu, polygon, phi, residual,
-                         representation_residual(fld, h, mu), mesh.n_nodes)
+                         representation_residual(fld, h, mu), mesh.n_nodes,
+                         fld.cg_iterations)
 
 
 @dataclass
@@ -371,7 +374,8 @@ def _log_row(iteration: int, ev: ObjectiveEval, m, step: float) -> dict:
     return {"iter": iteration, "J": ev.J, "residual": ev.residual, "tau": ev.tau,
             "inradius": m.inradius, "circumradius": m.circumradius, "step": step,
             "backtracks": 0, "empty_interior": 0, "direction": None,
-            "rep_residual": ev.rep_residual, "nodes": ev.nodes}
+            "rep_residual": ev.rep_residual, "nodes": ev.nodes,
+            "cg_iterations": ev.cg_iterations}
 
 
 def _report(h, ev, log, iters, stop, calls) -> SolveReport:

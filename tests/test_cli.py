@@ -111,6 +111,7 @@ def test_torsion_command(unit_square_file, tmp_path, capsys):
     assert payload["estimator_gap"] < 1e-8
     diag = payload["diagnostics"]
     assert 0 < diag["min_angle_deg"] <= 60 <= diag["max_angle_deg"] < 180
+    assert 0 < diag["cg_iterations"] <= 25
 
 
 def test_measure_command(unit_square_file, tmp_path):
@@ -122,6 +123,10 @@ def test_measure_command(unit_square_file, tmp_path):
     weights = np.asarray(payload["weights"])
     assert np.abs(weights - 2 * SQUARE_COEFF).max() < 0.02 * 2 * SQUARE_COEFF
     assert payload["closure_defect"] < 1e-3
+    assert payload["nodes"] > 0
+    diag = payload["diagnostics"]
+    assert 0 < diag["min_angle_deg"] <= 60 <= diag["max_angle_deg"] < 180
+    assert 0 < diag["cg_iterations"] <= 25
 
 
 def test_solve_command_recovers_unit_square(square_target_file, tmp_path):

@@ -194,6 +194,7 @@ def test_log_rows_report_representation_residual_and_nodes(square_solution):
     # criterion 03 bounds the representation residual at 1%
     log = square_solution.diagnostics["iterations_log"]
     assert all(rec["rep_residual"] < 0.01 and rec["nodes"] > 0 for rec in log)
+    assert all(0 < rec["cg_iterations"] <= 25 for rec in log)
 
 
 def test_elongated_start_meshes_within_the_inradius(square_target):

@@ -1,5 +1,8 @@
+import gc
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from torsion_minkowski import (
     LinearSolveFailure,
@@ -126,7 +129,56 @@ def test_monotonicity_under_inclusion():
 
 
 def test_cg_iteration_cap(square, monkeypatch):
-    mesh = triangulate(square, 0.1)
+    # 598 and 3,886 interior unknowns: one and two levels above the coarsest
+    meshes = [triangulate(square, h) for h in (0.1, 0.04)]
+    assert torsion_fem.COARSE_SIZE < (~meshes[0].is_boundary).sum()
     monkeypatch.setattr(torsion_fem, "MAX_CG_ITERS", 2)
-    with pytest.raises(LinearSolveFailure):
+    for mesh in meshes:
+        with pytest.raises(LinearSolveFailure):
+            solve_torsion(mesh)
+
+
+def test_small_system_is_solved_exactly_in_one_iteration(square, monkeypatch):
+    # 143 interior unknowns: no level, so the preconditioner is the LU solve
+    mesh = triangulate(square, 0.2)
+    assert (~mesh.is_boundary).sum() <= torsion_fem.COARSE_SIZE
+    monkeypatch.setattr(torsion_fem, "MAX_CG_ITERS", 1)
+    f = solve_torsion(mesh)
+    assert f.cg_iterations == 1
+    assert f.estimator_gap <= 1e-12
+
+
+def test_non_finite_preconditioned_residual_raises(square, monkeypatch):
+    mesh = triangulate(square, 0.1)
+    monkeypatch.setattr(torsion_fem, "_vcycle", lambda levels, coarse, r: np.full_like(r, np.nan))
+    with pytest.raises(LinearSolveFailure, match="non-finite"):
         solve_torsion(mesh)
+
+
+def test_cg_iterations_stay_flat_under_refinement():
+    p = polygon_corpus(seed=42, count=8)[7]
+    R = metrics(p).circumradius
+    fine = triangulate(p, 0.02 * R)
+    for mesh in (triangulate(p, 0.04 * R), fine, refine(fine)):
+        f = solve_torsion(mesh)
+        assert f.cg_iterations <= 25
+        K, b = torsion_fem.assemble(mesh)
+        idx = np.flatnonzero(~mesh.is_boundary)
+        assert len(idx) > torsion_fem.COARSE_SIZE
+        direct = spsolve(K[idx][:, idx].tocsc(), b[idx])
+        assert np.abs(f.u[idx] - direct).max() <= 1e-9 * np.abs(direct).max()
+
+
+def test_preconditioner_leaks_no_reference_cycle(unit_square):
+    # a cycle would keep every level and LU factor alive until the cyclic
+    # collector runs
+    mesh = triangulate(unit_square, 0.02)
+    assert (~mesh.is_boundary).sum() > torsion_fem.COARSE_SIZE
+    gc.collect()
+    gc.disable()
+    try:
+        f = solve_torsion(mesh)
+        del f
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
