@@ -1,16 +1,21 @@
 """Conforming triangulations of convex polygons.
 
-The generator samples each polygon facet at half the interior target
-spacing (boundary-flux accuracy drives the downstream pipeline) and fills
-the interior with a hexagonal lattice anchored at the bounding-box corner,
-keeping the lattice points at least 0.4 lattice spacings deep.  Nothing
-moves the nodes afterwards, so they are closed-form in the polygon's
-vertices.  The mesh is their Delaunay triangulation, from one qhull call
-on the boundary band (the nodes at most 1.5 lattice spacings deep) and the
-elementary lattice triangles of the deeper nodes, emitted straight from
-the lattice indices (see ``_stitch``).  Anchoring the lattice at the
-bounding box makes meshing equivariant under translations and dilations,
-which the homogeneity and gauge-invariance checks rely on.
+The generator works in the polygon's lattice frame: the bounding-box
+corner moved to the origin, and the coordinates divided by the power of
+two nearest the extent (an exact division).  There it samples each
+polygon facet at half the interior target spacing (boundary-flux
+accuracy drives the downstream pipeline) and fills the interior with a
+hexagonal lattice anchored at the origin, keeping the lattice points at
+least 0.4 lattice spacings deep.  Nothing moves the nodes afterwards, so
+they are closed-form in the polygon's vertices.  The mesh is their
+Delaunay triangulation, from one qhull call on the boundary band (the
+nodes at most 1.5 lattice spacings deep) and the elementary lattice
+triangles of the deeper nodes, emitted straight from the lattice indices
+(see ``_stitch``).  The nodes are mapped back once, as
+``corner + unit * points``.  Since the frame removes the body's position
+and size, meshing commutes with translations and dilations, which the
+homogeneity and gauge-invariance checks rely on, and its roundoff does
+not grow with the distance from the origin.
 
 Every boundary edge is attributed to the polygon facet it lies on, so
 boundary integrals can be assembled facet by facet.
@@ -153,8 +158,12 @@ def _boundary_samples(p: Polygon, spacing: float):
     at most 1e-12 times the facet length.  Exactly collinear boundary
     points make qhull's hull-edge structure depend on rounding noise; the
     bulge keeps every sample a strict hull vertex while staying 3+ orders
-    below every geometric tolerance in the pipeline (and 3+ orders above
-    coordinate roundoff for any facet fine enough to carry samples).
+    below every geometric tolerance in the pipeline.  ``triangulate``
+    samples in the lattice frame, where coordinates are below 2 whatever
+    the body's position and size, so their roundoff is below 2.2e-16.
+    The bulge of an interior sample is at least 4e-12 boundary spacings,
+    which stays above that while the boundary spacing is above 1e-4 of
+    the body's extent.
 
     Returns the stacked points and, per consecutive pair, the facet index.
     """
@@ -171,34 +180,36 @@ def _boundary_samples(p: Polygon, spacing: float):
     return np.vstack(pts), np.concatenate(facets)
 
 
-def _hex_lattice(p: Polygon, h: float) -> np.ndarray:
-    """Hexagonal lattice points at depth >= LATTICE_MARGIN * h in the polygon.
+def _hex_lattice(p: Polygon, h: float):
+    """Hexagonal lattice points at depth >= LATTICE_MARGIN * h in a
+    polygon whose bounding-box corner is the origin.
 
-    Anchored at the bounding-box corner so the construction commutes with
-    translations and dilations of the polygon.
+    The point of row iy and doubled column j = 2 ix + (iy % 2) sits at
+    (j h / 2, iy h sqrt(3) / 2).  Returns the kept points, their depths
+    and their (iy, j) index pairs.
     """
-    xmin, ymin = p.vertices.min(axis=0)
-    xmax, ymax = p.vertices.max(axis=0)
     dy = h * np.sqrt(3.0) / 2.0
-    ny = int(np.floor((ymax - ymin) / dy)) + 1
-    nx = int(np.floor((xmax - xmin) / h)) + 1
+    ny = int(np.floor(p.vertices[:, 1].max() / dy)) + 1
+    nx = int(np.floor(p.vertices[:, 0].max() / h)) + 1
     iy, ix = np.mgrid[0:ny, 0:nx]
-    x = xmin + ix * h + (iy % 2) * (h / 2.0)
-    y = ymin + iy * dy
-    pts = np.column_stack([x.ravel(), y.ravel()])
-    keep = p.distance_to_boundary(pts) >= LATTICE_MARGIN * h
-    return pts[keep]
+    index = np.column_stack([iy.ravel(), (2 * ix + iy % 2).ravel()])
+    pts = index[:, ::-1] * np.array([h / 2.0, dy])
+    depth = p.distance_to_boundary(pts)
+    keep = depth >= LATTICE_MARGIN * h
+    return pts[keep], depth[keep], index[keep]
 
 
-def _stitch(points: np.ndarray, first: int, h_lat: float, polygon: Polygon) -> np.ndarray:
+def _stitch(points: np.ndarray, first: int, h_lat: float, depth: np.ndarray,
+            index: np.ndarray, polygon: Polygon) -> np.ndarray:
     """Delaunay triangles of all points, counterclockwise, from one Delaunay
     of the boundary band and the lattice indices of the rest.
 
     The points before ``first`` are boundary samples, at depth <= 0; the
     rest are the lattice nodes of spacing h_lat that ``_hex_lattice`` kept,
-    at depth >= LATTICE_MARGIN h_lat.  The band holds the points at depth
-    <= B h_lat, B = _BAND_RINGS.  Take a node deeper than B h_lat; depth is
-    1-Lipschitz.  Every point within 2 h_lat / sqrt(3) of it (the
+    at depths ``depth`` >= LATTICE_MARGIN h_lat and lattice indices
+    ``index``.  The band holds the boundary samples and the lattice nodes
+    at depth <= B h_lat, B = _BAND_RINGS.  Take a node deeper than B h_lat;
+    depth is 1-Lipschitz.  Every point within 2 h_lat / sqrt(3) of it (the
     circumdisks of its six elementary triangles) is deeper than
     (B - 2 / sqrt(3)) h_lat > 0, so is a lattice node, and no lattice node
     lies inside the circumdisk of an elementary triangle.  Its six lattice
@@ -216,23 +227,15 @@ def _stitch(points: np.ndarray, first: int, h_lat: float, polygon: Polygon) -> n
     slivers beside short facets and the long triangles across the hole)
     the nearest node outside the band decides.
     """
-    band = np.flatnonzero(polygon.distance_to_boundary(points) <= _BAND_RINGS * h_lat)
-    outside = np.ones(len(points), dtype=bool)
-    outside[band] = False
-    tris = band[_delaunay(points[band]).simplices]
+    outside = np.concatenate([np.zeros(first, dtype=bool), depth > _BAND_RINGS * h_lat])
+    band = np.flatnonzero(~outside)
+    tris = band[Delaunay(points[band]).simplices]
     centre, radius = _circumcircles(points, tris)
     keep = polygon.distance_to_boundary(centre) + radius < _BAND_RINGS * h_lat
     unsure = np.flatnonzero(~keep)
     nearest, _ = cKDTree(points[outside]).query(centre[unsure])
     keep[unsure] = nearest >= radius[unsure]
-    return np.vstack([_orient(points, tris[keep]),
-                      _lattice_triangles(points[first:], first, h_lat, outside)])
-
-
-def _delaunay(points: np.ndarray) -> Delaunay:
-    """Delaunay of the points divided by the power of two nearest their size
-    (exact): qhull's output changes below coordinates of about 2^-21."""
-    return Delaunay(points / 2.0 ** np.round(np.log2(np.abs(points).max())))
+    return np.vstack([_orient(points, tris[keep]), _lattice_triangles(index, first, outside)])
 
 
 def _circumcircles(points: np.ndarray, triangles: np.ndarray):
@@ -246,21 +249,17 @@ def _circumcircles(points: np.ndarray, triangles: np.ndarray):
     return a + u, np.hypot(u[:, 0], u[:, 1])
 
 
-def _lattice_triangles(lattice: np.ndarray, first: int, h: float,
-                       outside: np.ndarray) -> np.ndarray:
+def _lattice_triangles(index: np.ndarray, first: int, outside: np.ndarray) -> np.ndarray:
     """Counterclockwise elementary triangles of a hexagonal lattice that
     have a node in ``outside``.
 
-    ``lattice`` holds the points of ``_hex_lattice(p, h)``, numbered
-    from ``first``.  Row iy and doubled column j = 2 ix + (iy % 2) come
-    from rounding; in (iy, j) the neighbours of a node are (iy, j +- 2)
-    and (iy +- 1, j +- 1), whatever the lattice's anchor.
+    ``index`` holds the (iy, j) pairs of ``_hex_lattice``'s points,
+    numbered from ``first``; the neighbours of a node are (iy, j +- 2)
+    and (iy +- 1, j +- 1).
     """
-    lo = lattice.min(axis=0)
-    iy = np.rint((lattice[:, 1] - lo[1]) / (h * np.sqrt(3.0) / 2.0)).astype(np.intp)
-    j = np.rint((lattice[:, 0] - lo[0]) / (h / 2.0)).astype(np.intp) + 1
+    iy, j = index[:, 0], index[:, 1] + 1  # column 0 is left empty for j - 1
     grid = np.full((iy.max() + 2, j.max() + 3), -1, dtype=np.intp)
-    ids = first + np.arange(len(lattice))
+    ids = first + np.arange(len(index))
     grid[iy, j] = ids
     up = np.column_stack([ids, grid[iy, j + 2], grid[iy + 1, j + 1]])
     down = np.column_stack([ids, grid[iy + 1, j + 1], grid[iy + 1, j - 1]])
@@ -285,18 +284,20 @@ def triangulate(p: Polygon, target_h: float) -> TriMesh:
     if target_h >= inradius:
         raise InvariantViolation(
             f"target_h={target_h:g} must be below the inradius {inradius:g}")
-    bpts, bfacets = _boundary_samples(p, target_h / 2.0)
-    h_lat = 0.85 * target_h
-    interior = _hex_lattice(p, h_lat)
-    n_total = len(bpts) + len(interior)
-    if n_total > NODE_CAP:
-        raise MeshTooFine(f"mesh would need {n_total} nodes (cap {NODE_CAP})")
+    corner = p.vertices.min(axis=0)
+    unit = 2.0 ** np.round(np.log2(np.ptp(p.vertices, axis=0).max()))
+    frame = Polygon((p.vertices - corner) / unit)
+    bpts, bfacets = _boundary_samples(frame, target_h / (2.0 * unit))
+    h_lat = 0.85 * target_h / unit
+    lattice, depth, index = _hex_lattice(frame, h_lat)
     nb = len(bpts)
-    points = np.vstack([bpts, interior])
-    triangles = _stitch(points, nb, h_lat, p)
+    if nb + len(lattice) > NODE_CAP:
+        raise MeshTooFine(f"mesh would need {nb + len(lattice)} nodes (cap {NODE_CAP})")
+    points = np.vstack([bpts, lattice])
+    triangles = _stitch(points, nb, h_lat, depth, index, frame)
     edges = np.column_stack([np.arange(nb), (np.arange(nb) + 1) % nb])
-    lengths = np.hypot(*(points[edges[:, 1]] - points[edges[:, 0]]).T)
-    mesh = TriMesh(points, triangles, edges, bfacets, lengths, target_h, p)
+    lengths = unit * np.hypot(*(points[edges[:, 1]] - points[edges[:, 0]]).T)
+    mesh = TriMesh(corner + unit * points, triangles, edges, bfacets, lengths, target_h, p)
     _assert_conforming(mesh)
     return mesh
 

@@ -164,11 +164,13 @@ class Polygon:
         wraps = np.count_nonzero(normal_angles(nxt) < normal_angles(normals))  # 1: winds once
         if not (np.all(turn > ANGLE_TOL) and wraps == 1):  # NaN fails too; a star turns left too
             raise InvariantViolation("vertex cycle is not strictly convex counterclockwise")
-        shoelace = v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]
+        w = v - v[0]  # sums about v[0]: their roundoff does not grow under translation
+        shoelace = w[:, 0] * np.roll(w[:, 1], -1) - np.roll(w[:, 0], -1) * w[:, 1]
         area = 0.5 * float(np.sum(shoelace))
         if area <= 0:
             raise InvariantViolation("polygon area must be positive")
-        centroid = ((v + np.roll(v, -1, axis=0)) * shoelace[:, None]).sum(axis=0) / (6.0 * area)
+        moment = ((w + np.roll(w, -1, axis=0)) * shoelace[:, None]).sum(axis=0)
+        centroid = v[0] + moment / (6.0 * area)
         offsets = np.einsum("ij,ij->i", normals, v)
         src = self.source_index
         if src is not None:
@@ -210,9 +212,11 @@ class Polygon:
 
     def distance_to_boundary(self, points) -> np.ndarray:
         """Signed distance to the boundary (positive inside)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        margin = self.offsets[None, :] - pts @ self.facet_normals.T
-        return margin.min(axis=1)
+        x, y = np.atleast_2d(np.asarray(points, dtype=float)).T.copy()
+        depth = np.full(len(x), np.inf)
+        for (nx, ny), offset in zip(self.facet_normals, self.offsets):
+            np.minimum(depth, offset - (nx * x + ny * y), out=depth)
+        return depth
 
 
 def regular_polygon(n: int, circumradius: float = 1.0) -> Polygon:

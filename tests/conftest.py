@@ -13,6 +13,7 @@ from torsion_minkowski import (
     regular_polygon,
     solve_on_polygon,
 )
+from torsion_minkowski import torsion_fem
 from torsion_minkowski.verify_suite import polygon_corpus
 
 AXIS_ANGLES_DEG = [-90, 0, 90, 180]
@@ -99,3 +100,17 @@ def unit_square_field(unit_square):
 @pytest.fixture(scope="session")
 def disk_field(disk64):
     return solve_on_polygon(disk64, 0.02)
+
+
+@pytest.fixture()
+def sink_load(monkeypatch):
+    """Patch ``torsion_fem.assemble`` to load the first interior node with
+    -10 times the total load, which drives u negative around it."""
+    assemble = torsion_fem.assemble
+
+    def with_sink(mesh):
+        K, load = assemble(mesh)
+        load[np.flatnonzero(~mesh.is_boundary)[0]] = -10.0 * load.sum()
+        return K, load
+
+    monkeypatch.setattr(torsion_fem, "assemble", with_sink)

@@ -4,9 +4,17 @@ import re
 import numpy as np
 import pytest
 
-from torsion_minkowski import Polygon, TargetMeasure
+from torsion_minkowski import (
+    Polygon,
+    TargetMeasure,
+    metrics,
+    polygon_to_dict,
+    solve_on_polygon,
+    translate,
+)
 from torsion_minkowski.cli import main, parse_spec
 from torsion_minkowski.errors import InvariantViolation
+from torsion_minkowski.verify_suite import polygon_corpus
 from conftest import SQUARE_COEFF
 
 
@@ -112,6 +120,24 @@ def test_torsion_command(unit_square_file, tmp_path, capsys):
     diag = payload["diagnostics"]
     assert 0 < diag["min_angle_deg"] <= 60 <= diag["max_angle_deg"] < 180
     assert 0 < diag["cg_iterations"] <= 25
+
+
+def test_torsion_command_on_a_far_translated_body(tmp_path):
+    p = polygon_corpus(42, 5)[4]
+    far = translate(p, 1e3 * metrics(p).circumradius * np.array([0.6, 0.8]))
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(polygon_to_dict(far)))
+    out = tmp_path / "tau.json"
+    assert main(["torsion", "--input", str(path), "--mesh-h", "0.02",
+                 "--output", str(out)]) == 0
+    tau = solve_on_polygon(p, 0.02 * metrics(p).circumradius).tau_energy
+    assert json.loads(out.read_text())["tau_energy"] == pytest.approx(tau, rel=1e-10)
+
+
+def test_maximum_principle_violation_exit_code(unit_square_file, sink_load, capsys):
+    assert main(["torsion", "--input", unit_square_file, "--mesh-h", "0.05"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: MaximumPrincipleViolation: "), lines
 
 
 def test_measure_command(unit_square_file, tmp_path):

@@ -10,11 +10,13 @@ from torsion_minkowski import (
     angles_to_normals,
     build_polytope,
     check_mesh,
+    facet_measure,
     metrics,
     minkowski_sum,
     refine,
     regular_polygon,
     scale,
+    solve_on_polygon,
     translate,
     triangulate,
 )
@@ -174,11 +176,19 @@ def _turned(p, angle):
     return Polygon.from_vertices(p.vertices @ np.array([[c, s], [-s, c]]))
 
 
+def _lattice_frame(p):
+    """Bounding-box corner and power-of-two unit of ``triangulate``'s frame."""
+    return p.vertices.min(axis=0), 2.0 ** np.round(np.log2(np.ptp(p.vertices, axis=0).max()))
+
+
 def _reference_points(p, target_h):
     """The boundary samples followed by the kept lattice nodes, as
-    ``triangulate`` places them."""
-    bpts, _ = mesh_module._boundary_samples(p, target_h / 2.0)
-    return np.vstack([bpts, mesh_module._hex_lattice(p, 0.85 * target_h)])
+    ``triangulate`` places them: built in the lattice frame, mapped back."""
+    corner, unit = _lattice_frame(p)
+    frame = Polygon((p.vertices - corner) / unit)
+    bpts, _ = mesh_module._boundary_samples(frame, target_h / (2.0 * unit))
+    lattice = mesh_module._hex_lattice(frame, 0.85 * target_h / unit)[0]
+    return corner + unit * np.vstack([bpts, lattice])
 
 
 def _triangle_set(triangles):
@@ -220,12 +230,14 @@ def test_triangulate_runs_no_full_delaunay(monkeypatch, square):
         return Delaunay(points)
 
     monkeypatch.setattr(mesh_module, "Delaunay", counting_delaunay)
-    m = triangulate(regular_polygon(64), 0.02)
+    disk = regular_polygon(64)
+    m = triangulate(disk, 0.02)
     assert len(calls) == 1
     assert len(calls[0]) < m.n_nodes
-    # the band's final nodes, unscaled at circumradius 1
+    # the band's final nodes, in the lattice frame
+    corner, unit = _lattice_frame(disk)
     final = {tuple(x) for x in m.nodes}
-    assert all(tuple(x) in final for x in calls[0])
+    assert all(tuple(x) in final for x in corner + unit * calls[0])
 
     calls.clear()  # coarse: the band holds every node and is the whole mesh
     coarse = triangulate(square, 0.7)
@@ -271,6 +283,22 @@ def test_nodes_commute_with_translation_and_dilation(rel):
             nodes = triangulate(q, rel * metrics(q).circumradius).nodes
             assert nodes.shape == base.shape
             assert np.abs(nodes - s * base).max() <= 1e-12 * s * h
+
+
+@pytest.mark.parametrize("distance", [1e3, 1e4])
+def test_meshing_commutes_with_far_translation(distance):
+    # the mesh is built in the lattice frame, so a translation by many
+    # circumradii neither fails nor changes the triangles, tau or the measure
+    for p in polygon_corpus(seed=42, count=8):
+        base = solve_on_polygon(p, 0.02 * metrics(p).circumradius)
+        weights = facet_measure(base).weights
+        for direction in ([1.0, 0.0], [0.6, 0.8], [-0.8, 0.6]):
+            q = translate(p, distance * metrics(p).circumradius * np.array(direction))
+            f = solve_on_polygon(q, 0.02 * metrics(q).circumradius)
+            assert np.array_equal(_triangle_set(f.mesh.triangles),
+                                  _triangle_set(base.mesh.triangles))
+            assert f.tau_energy == pytest.approx(base.tau_energy, rel=1e-10)
+            assert np.abs(facet_measure(f).weights - weights).max() <= 1e-10 * weights.max()
 
 
 def test_refine_matches_midpoint_dictionary(hexagon):

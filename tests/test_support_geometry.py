@@ -216,6 +216,16 @@ CORPUS = polygon_corpus(42, 50)
 EPS = np.finfo(float).eps
 
 
+def test_polygon_sums_survive_far_translation():
+    # shoelace sums taken about the first vertex: 1e3 R of translation
+    # costs the area and the circumradius (about the centroid) no accuracy
+    for p in CORPUS:
+        m = metrics(p)
+        far = translate(p, 1e3 * m.circumradius * np.array([0.6, 0.8]))
+        assert metrics(far).circumradius == pytest.approx(m.circumradius, rel=1e-12)
+        assert far.area == pytest.approx(p.area, rel=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, len(CORPUS) - 2), st.floats(-8.0, 8.0), st.floats(0.0, 1e3),
        st.floats(0.0, 2.0 * np.pi), st.floats(-np.pi, np.pi), st.sampled_from([-0.02, 0.0, 0.02]))

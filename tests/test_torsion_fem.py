@@ -6,6 +6,7 @@ from scipy.sparse.linalg import spsolve
 
 from torsion_minkowski import (
     LinearSolveFailure,
+    MaximumPrincipleViolation,
     PointOutside,
     check_sqrt_concavity,
     gradient_at,
@@ -153,6 +154,11 @@ def test_non_finite_preconditioned_residual_raises(square, monkeypatch):
     monkeypatch.setattr(torsion_fem, "_vcycle", lambda levels, coarse, r: np.full_like(r, np.nan))
     with pytest.raises(LinearSolveFailure, match="non-finite"):
         solve_torsion(mesh)
+
+
+def test_negative_interior_value_raises(square, sink_load):
+    with pytest.raises(MaximumPrincipleViolation):
+        solve_torsion(triangulate(square, 0.1))
 
 
 def test_cg_iterations_stay_flat_under_refinement():
