@@ -171,12 +171,14 @@ def _solve_input_polygon(args: dict):
 
 
 def _solve_diagnostics(field) -> dict:
-    """What the torsion solve did: the mesh's angle extremes and the CG
-    iteration count."""
+    """What the torsion solve did: the mesh's angle extremes, the CG
+    iteration count and the multigrid levels and operator complexity."""
     quality = check_mesh(field.mesh)
     return {"min_angle_deg": quality.min_angle_deg,
             "max_angle_deg": quality.max_angle_deg,
-            "cg_iterations": field.cg_iterations}
+            "cg_iterations": field.cg_iterations,
+            "levels": field.levels,
+            "operator_complexity": field.operator_complexity}
 
 
 def _cmd_torsion(args: dict) -> int:

@@ -34,7 +34,8 @@ class MeshTooFine(InvariantViolation):
 
 
 class LinearSolveFailure(TorsionMinkowskiError):
-    """The conjugate-gradient solve did not reach the requested tolerance."""
+    """The conjugate-gradient solve did not reach the requested tolerance,
+    or its coarsest multigrid level is not positive definite."""
 
 
 class MaximumPrincipleViolation(TorsionMinkowskiError):

@@ -46,6 +46,12 @@ class TriMesh:
     ``triangles`` are positively oriented node index triples.  Boundary
     edge ``k`` joins ``boundary_edges[k]`` (a consecutive node pair along
     the boundary walk) and lies on polygon facet ``boundary_facets[k]``.
+
+    The edge table is set at construction: ``edges`` holds the sorted
+    unique keys min*n + max of the undirected edges (see ``_edge_key``),
+    and ``triangle_edges[t, k]`` is the index in ``edges`` of the edge of
+    triangle t opposite its node k.  The conformity check, ``refine`` and
+    the stiffness assembly read it.
     """
 
     nodes: np.ndarray
@@ -55,7 +61,16 @@ class TriMesh:
     boundary_edge_lengths: np.ndarray
     target_h: float
     polygon: Polygon
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    triangle_edges: np.ndarray = field(init=False, repr=False, compare=False)
     _tree: cKDTree | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        t = self.triangles
+        keys = _edge_key(np.roll(t, -1, axis=1), np.roll(t, -2, axis=1), self.n_nodes)
+        # ravelled: the shape of the inverse of an n-d input differs across numpy 2.x
+        self.edges, inverse = np.unique(keys.ravel(), return_inverse=True)
+        self.triangle_edges = inverse.reshape(t.shape)
 
     @property
     def n_nodes(self) -> int:
@@ -130,9 +145,9 @@ def _p1_basis(nodes: np.ndarray, triangles: np.ndarray):
     barycentric basis functions of triangle t, scaled by its twice-area,
     which is signed: positive for a counterclockwise node triple.
     """
-    a, b, c = (nodes[triangles[:, k]] for k in range(3))
-    gx = np.column_stack([b[:, 1] - c[:, 1], c[:, 1] - a[:, 1], a[:, 1] - b[:, 1]])
-    gy = np.column_stack([c[:, 0] - b[:, 0], a[:, 0] - c[:, 0], b[:, 0] - a[:, 0]])
+    x, y = nodes[:, 0][triangles], nodes[:, 1][triangles]
+    gx = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    gy = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
     return gx[:, 1] * gy[:, 2] - gx[:, 2] * gy[:, 1], gx, gy
 
 
@@ -314,20 +329,13 @@ def _edge_key(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(i, j).astype(np.int64) * n + np.maximum(i, j)
 
 
-def _edge_counts(mesh: TriMesh):
-    """Sorted edge keys of the triangulation and each edge's triangle count."""
-    t = mesh.triangles
-    keys = _edge_key(t, np.roll(t, -1, axis=1), mesh.n_nodes)
-    return np.unique(keys, return_counts=True)
-
-
 def _assert_conforming(mesh: TriMesh) -> None:
-    keys, counts = _edge_counts(mesh)
+    counts = np.bincount(mesh.triangle_edges.ravel())
     if counts.max() > 2:
         raise InvariantViolation("non-manifold edge in triangulation")
     b = mesh.boundary_edges
     expected = np.sort(_edge_key(b[:, 0], b[:, 1], mesh.n_nodes))
-    if not np.array_equal(keys[counts == 1], expected):
+    if not np.array_equal(mesh.edges[counts == 1], expected):
         raise InvariantViolation("triangulation boundary does not match the facet walk")
 
 
@@ -336,23 +344,19 @@ def refine(m: TriMesh) -> TriMesh:
 
     Child triangles are similar to their parent, so angle quality is
     preserved exactly; boundary facet attribution is inherited.  The
-    midpoint of the k-th edge in key order becomes node n_nodes + k.
+    midpoint of the k-th edge of the parent's edge table becomes node
+    n_nodes + k.
     """
-    keys, _ = _edge_counts(m)
-    n = m.n_nodes
+    keys, n = m.edges, m.n_nodes
     if n + len(keys) > NODE_CAP:
         raise MeshTooFine(f"refinement would need {n + len(keys)} nodes (cap {NODE_CAP})")
     nodes = np.vstack([m.nodes, 0.5 * (m.nodes[keys // n] + m.nodes[keys % n])])
-
-    def mid(i, j):
-        return n + np.searchsorted(keys, _edge_key(i, j, n))
-
     a, b, c = m.triangles.T
-    ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+    bc, ca, ab = (n + m.triangle_edges).T  # midpoints opposite a, b, c
     triangles = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
                          axis=1).reshape(-1, 3)
     i, j = m.boundary_edges.T
-    k = mid(i, j)
+    k = n + np.searchsorted(keys, _edge_key(i, j, n))
     b_edges = np.stack([i, k, k, j], axis=1).reshape(-1, 2)
     lengths = np.hypot(*(nodes[b_edges[:, 1]] - nodes[b_edges[:, 0]]).T)
     out = TriMesh(nodes, triangles, b_edges, np.repeat(m.boundary_facets, 2),

@@ -15,22 +15,24 @@ The interior system is solved by preconditioned conjugate gradients with
 the fixed settings ``LINEAR_TOL`` and ``MAX_CG_ITERS``.  The preconditioner
 is one symmetric V-cycle of smoothed-aggregation multigrid (Vanek, Mandel
 & Brezina, Computing 56, 1996), built from the interior nodes' coordinates:
-the aggregates of level k are the cells of a square grid of side
-2^k target_h, the tentative piecewise-constant prolongation is smoothed by
-one damped-Jacobi step, coarse operators are Galerkin products P^T A P, and
-the coarsest level, of at most ``COARSE_SIZE`` unknowns, is factorised.
-A system that small gets no levels, so the V-cycle is its exact solve and
-CG stops after one iteration.  The iteration count stays flat as the mesh
-is refined.
+the aggregates of the first level are the cells of a square grid of side
+2 target_h, and each coarser level's cells are ``COARSEN`` times wider; the
+tentative piecewise-constant prolongation P is smoothed by one
+damped-Jacobi step, coarse operators are Galerkin products R A P with the
+restriction R = P^T kept per level, and the coarsest level, of at most
+``COARSE_SIZE`` unknowns, is factorised by dense Cholesky.  A system that
+small gets no levels, so the V-cycle is its exact solve and CG stops after
+one iteration.  The iteration count stays flat as the mesh is refined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import LinearSolveFailure, MaximumPrincipleViolation, PointOutside
 from .mesh import TriMesh, _p1_basis, triangulate
@@ -39,6 +41,12 @@ from .support_geometry import Polygon, _check_trials, seeded_rng
 LINEAR_TOL = 1e-10  # relative CG residual tolerance
 MAX_CG_ITERS = 50_000
 COARSE_SIZE = 400  # coarsening stops at this many unknowns; the coarsest level is factorised
+# Aggregate side ratio between levels above the first.  The first level's
+# cells, of side 2 target_h, hold about 6.4 lattice nodes: a node and its
+# neighbours.  Doubling the side again at coarser levels lets the smoothed
+# stencils grow (13 -> 31 -> 66 -> 96 nonzeros per row on a 50k-unknown
+# mesh); tripling keeps the operator complexity near 1.35.
+COARSEN = 3.0
 PROLONG_OMEGA = 2.0 / 3.0  # damping of the Jacobi step that smooths the prolongation
 SMOOTH_OMEGA = 0.6  # damping of the V-cycle's Jacobi sweeps
 SMOOTH_SWEEPS = 2  # Jacobi sweeps before and after each coarse correction
@@ -46,8 +54,13 @@ SMOOTH_SWEEPS = 2  # Jacobi sweeps before and after each coarse correction
 
 @dataclass
 class TorsionField:
-    """Mesh, nodal solution, nodal reaction K u - load, rigidity values and
-    CG iteration count of one torsion solve."""
+    """Mesh, nodal solution, nodal reaction K u - load, rigidity values,
+    CG iteration count and multigrid shape of one torsion solve.
+
+    ``levels`` counts the multigrid levels above the coarsest, and
+    ``operator_complexity`` is the stored-entry count of all level
+    operators, the coarsest included, over that of the interior system.
+    """
 
     mesh: TriMesh
     u: np.ndarray
@@ -56,6 +69,8 @@ class TorsionField:
     estimator_gap: float
     reaction: np.ndarray = field(repr=False)
     cg_iterations: int
+    levels: int
+    operator_complexity: float
     _tri_grads: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def triangle_gradients(self) -> np.ndarray:
@@ -77,38 +92,46 @@ class TorsionField:
 def assemble(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray]:
     """Stiffness matrix and load vector for the constant-load problem.
 
-    Per-triangle exact stiffness for P1 elements; the load uses one-point
-    quadrature, which is exact for the constant right-hand side 2.
+    Per-triangle exact stiffness for P1 elements, summed per edge of the
+    mesh's edge table: the edge opposite node k of a triangle gets the
+    weight (g_{k+1} . g_{k+2}) / (2 twice_area) of its node pair.  The
+    strict upper triangle U comes straight from the sorted edge keys, and
+    K = U + U^T + D, with D minus the row sums of U + U^T since the basis
+    functions sum to one.  The load uses one-point quadrature, which is
+    exact for the constant right-hand side 2.
     """
-    t = mesh.triangles
+    t, n = mesh.triangles, mesh.n_nodes
     twice_area, gx, gy = _p1_basis(mesh.nodes, t)
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append((gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]) / (2.0 * twice_area))
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_nodes, mesh.n_nodes),
-    ).tocsr()
-    load = np.zeros(mesh.n_nodes)
-    np.add.at(load, t.ravel(), np.repeat(twice_area / 3.0, 3))
+    gx, gy = gx[:, [1, 2, 0, 1]], gy[:, [1, 2, 0, 1]]  # columns k and k + 1: g_{k+1}, g_{k+2}
+    w = (gx[:, :3] * gx[:, 1:] + gy[:, :3] * gy[:, 1:]) / (2.0 * twice_area)[:, None]
+    weight = np.bincount(mesh.triangle_edges.ravel(), weights=w.ravel())
+    rows, cols = np.divmod(mesh.edges, n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    U = sp.csr_matrix((weight, cols, indptr), shape=(n, n))
+    diag = -(np.bincount(rows, weights=weight, minlength=n)
+             + np.bincount(cols, weights=weight, minlength=n))
+    K = (U + U.T + sp.diags(diag)).tocsr()
+    load = np.bincount(t.ravel(), weights=np.repeat(twice_area / 3.0, 3), minlength=n)
     return K, load
 
 
 def _hierarchy(A: sp.csr_matrix, xy: np.ndarray, h: float):
     """Smoothed-aggregation levels and the coarsest solve for A.
 
-    Returns ``(levels, coarse)``: one ``(A, SMOOTH_OMEGA / diag A, P)`` per level
-    above the coarsest, finest first, and the solve of the coarsest level's
-    LU factor.
+    The first level aggregates the nodes ``xy`` of A on square cells of
+    side 2h, and each next level aggregates the previous level's
+    aggregate centroids on cells ``COARSEN`` times wider, until at most
+    ``COARSE_SIZE`` unknowns remain.  Returns ``(levels, coarse,
+    operator_complexity)``: one ``(A, SMOOTH_OMEGA / diag A, P, R = P^T)``
+    per level above the coarsest, finest first; the solve of the coarsest
+    level's dense Cholesky factor; and the stored-entry count of every
+    level's A, the coarsest included, over that of the first.  Raises
+    LinearSolveFailure if the coarsest level is not positive definite.
     """
-    levels = []
-    origin, side = xy.min(axis=0), h
+    levels, nnz = [], A.nnz
+    origin, side = xy.min(axis=0), 2.0 * h
     while A.shape[0] > COARSE_SIZE:
         inv_diag = 1.0 / A.diagonal()
-        side *= 2.0
         cell = np.floor((xy - origin) / side).astype(np.int64)
         _, agg = np.unique(cell[:, 0] * (cell[:, 1].max() + 1) + cell[:, 1],
                            return_inverse=True)
@@ -117,11 +140,18 @@ def _hierarchy(A: sp.csr_matrix, xy: np.ndarray, h: float):
         jacobi_step = A @ tentative  # scaled in place by PROLONG_OMEGA / diag A, row by row
         jacobi_step.data *= np.repeat(PROLONG_OMEGA * inv_diag, np.diff(jacobi_step.indptr))
         P = tentative - jacobi_step
-        levels.append((A, SMOOTH_OMEGA * inv_diag, P))
-        A = P.T.tocsr() @ (A @ P)
+        R = P.T.tocsr()
+        levels.append((A, SMOOTH_OMEGA * inv_diag, P, R))
+        A = R @ (A @ P)
         size = np.bincount(agg)
         xy = np.column_stack([np.bincount(agg, weights=c) / size for c in xy.T])
-    return levels, splu(A.tocsc()).solve
+        side *= COARSEN
+    try:
+        factor = cho_factor(A.toarray())
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveFailure("coarsest level is not positive definite") from exc
+    complexity = (sum(level[0].nnz for level in levels) + A.nnz) / nnz
+    return levels, partial(cho_solve, factor), complexity
 
 
 def _smooth(A, w, r, x=None):
@@ -136,12 +166,12 @@ def _vcycle(levels, coarse, r):
     """One V-cycle on A e = r from e = 0: smooth and restrict down the
     levels, solve the coarsest, then prolong and smooth back up."""
     down = []
-    for A, w, P in levels:
+    for A, w, P, R in levels:
         x = _smooth(A, w, r)
         down.append((r, x))
-        r = P.T @ (r - A @ x)
+        r = R @ (r - A @ x)
     e = coarse(r)
-    for (A, w, P), (r, x) in zip(reversed(levels), reversed(down)):
+    for (A, w, P, R), (r, x) in zip(reversed(levels), reversed(down)):
         e = _smooth(A, w, r, x + P @ e)
     return e
 
@@ -185,7 +215,7 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     idx = np.flatnonzero(~mesh.is_boundary)
     Kii = K[idx][:, idx]
     bi = b[idx]
-    levels, coarse = _hierarchy(Kii, mesh.nodes[idx], mesh.target_h)
+    levels, coarse, complexity = _hierarchy(Kii, mesh.nodes[idx], mesh.target_h)
     ui, iterations = _pcg(Kii, bi, lambda r: _vcycle(levels, coarse, r))
     resid = np.linalg.norm(Kii @ ui - bi)
     if not resid <= 10.0 * LINEAR_TOL * np.linalg.norm(bi):
@@ -200,7 +230,8 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     tau_energy = float(u @ Ku)
     tau_mass = float(u @ b)
     gap = abs(tau_energy - tau_mass) / tau_energy
-    return TorsionField(mesh, u, tau_energy, tau_mass, gap, Ku - b, iterations)
+    return TorsionField(mesh, u, tau_energy, tau_mass, gap, Ku - b, iterations,
+                        len(levels), complexity)
 
 
 def solve_on_polygon(p: Polygon, target_h: float) -> TorsionField:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from torsion_minkowski import (
     Polygon,
@@ -114,3 +115,18 @@ def sink_load(monkeypatch):
         return K, load
 
     monkeypatch.setattr(torsion_fem, "assemble", with_sink)
+
+
+@pytest.fixture()
+def singular_interior(monkeypatch):
+    """Patch ``torsion_fem.assemble`` to zero the row and column of the
+    first interior node, which leaves the interior system singular."""
+    assemble = torsion_fem.assemble
+
+    def singular(mesh):
+        K, load = assemble(mesh)
+        keep = np.ones(mesh.n_nodes)
+        keep[np.flatnonzero(~mesh.is_boundary)[0]] = 0.0
+        return (sp.diags(keep) @ K @ sp.diags(keep)).tocsr(), load
+
+    monkeypatch.setattr(torsion_fem, "assemble", singular)

@@ -11,7 +11,9 @@ from torsion_minkowski import (
     polygon_to_dict,
     solve_on_polygon,
     translate,
+    triangulate,
 )
+from torsion_minkowski import torsion_fem
 from torsion_minkowski.cli import main, parse_spec
 from torsion_minkowski.errors import InvariantViolation
 from torsion_minkowski.verify_suite import polygon_corpus
@@ -109,6 +111,15 @@ def test_parse_round_trip(tmp_path, square_target_file):
 # ------------------------------------------------------------- commands
 
 
+def _assert_multigrid_diagnostics(diag, path, mesh_h):
+    # the reported levels and operator complexity are those of a direct solve
+    body = parse_spec(path)
+    field = solve_on_polygon(body, mesh_h * metrics(body).circumradius)
+    assert diag["levels"] == field.levels >= 1
+    assert diag["operator_complexity"] == field.operator_complexity
+    assert 1.0 < diag["operator_complexity"] <= 1.4
+
+
 def test_torsion_command(unit_square_file, tmp_path, capsys):
     out = tmp_path / "tau.json"
     code = main(["torsion", "--input", unit_square_file,
@@ -120,6 +131,7 @@ def test_torsion_command(unit_square_file, tmp_path, capsys):
     diag = payload["diagnostics"]
     assert 0 < diag["min_angle_deg"] <= 60 <= diag["max_angle_deg"] < 180
     assert 0 < diag["cg_iterations"] <= 25
+    _assert_multigrid_diagnostics(diag, unit_square_file, 0.03)
 
 
 def test_torsion_command_on_a_far_translated_body(tmp_path):
@@ -140,6 +152,16 @@ def test_maximum_principle_violation_exit_code(unit_square_file, sink_load, caps
     assert len(lines) == 1 and lines[0].startswith("error: MaximumPrincipleViolation: "), lines
 
 
+def test_singular_system_exit_code(unit_square_file, singular_interior, capsys):
+    # h = 0.099: the interior system is the coarsest level
+    body = parse_spec(unit_square_file)
+    mesh = triangulate(body, 0.14 * metrics(body).circumradius)
+    assert (~mesh.is_boundary).sum() <= torsion_fem.COARSE_SIZE
+    assert main(["torsion", "--input", unit_square_file, "--mesh-h", "0.14"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: LinearSolveFailure: "), lines
+
+
 def test_measure_command(unit_square_file, tmp_path):
     out = tmp_path / "mu.json"
     code = main(["measure", "--input", unit_square_file,
@@ -153,6 +175,7 @@ def test_measure_command(unit_square_file, tmp_path):
     diag = payload["diagnostics"]
     assert 0 < diag["min_angle_deg"] <= 60 <= diag["max_angle_deg"] < 180
     assert 0 < diag["cg_iterations"] <= 25
+    _assert_multigrid_diagnostics(diag, unit_square_file, 0.03)
 
 
 def test_solve_command_recovers_unit_square(square_target_file, tmp_path):

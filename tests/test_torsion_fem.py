@@ -2,6 +2,7 @@ import gc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from torsion_minkowski import (
@@ -19,6 +20,7 @@ from torsion_minkowski import (
     triangulate,
 )
 from torsion_minkowski import torsion_fem
+from torsion_minkowski.mesh import _edge_key, _p1_basis
 from torsion_minkowski.verify_suite import polygon_corpus
 from conftest import SQUARE_COEFF
 
@@ -140,13 +142,21 @@ def test_cg_iteration_cap(square, monkeypatch):
 
 
 def test_small_system_is_solved_exactly_in_one_iteration(square, monkeypatch):
-    # 143 interior unknowns: no level, so the preconditioner is the LU solve
+    # 143 interior unknowns: no level, so the preconditioner is the Cholesky solve
     mesh = triangulate(square, 0.2)
     assert (~mesh.is_boundary).sum() <= torsion_fem.COARSE_SIZE
     monkeypatch.setattr(torsion_fem, "MAX_CG_ITERS", 1)
     f = solve_torsion(mesh)
     assert f.cg_iterations == 1
     assert f.estimator_gap <= 1e-12
+
+
+def test_singular_coarsest_level_raises(square, singular_interior):
+    # 143 interior unknowns: the coarsest level is the whole system
+    mesh = triangulate(square, 0.2)
+    assert (~mesh.is_boundary).sum() <= torsion_fem.COARSE_SIZE
+    with pytest.raises(LinearSolveFailure, match="not positive definite"):
+        solve_torsion(mesh)
 
 
 def test_non_finite_preconditioned_residual_raises(square, monkeypatch):
@@ -168,6 +178,7 @@ def test_cg_iterations_stay_flat_under_refinement():
     for mesh in (triangulate(p, 0.04 * R), fine, refine(fine)):
         f = solve_torsion(mesh)
         assert f.cg_iterations <= 25
+        assert f.levels >= 1 and 1.0 < f.operator_complexity <= 1.4
         K, b = torsion_fem.assemble(mesh)
         idx = np.flatnonzero(~mesh.is_boundary)
         assert len(idx) > torsion_fem.COARSE_SIZE
@@ -188,3 +199,50 @@ def test_preconditioner_leaks_no_reference_cycle(unit_square):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _reference_assemble(mesh):
+    # the nine-entry-per-triangle COO assembly, summed by the CSR conversion
+    t = mesh.triangles
+    twice_area, gx, gy = _p1_basis(mesh.nodes, t)
+    rows, cols, vals = [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(t[:, i])
+            cols.append(t[:, j])
+            vals.append((gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]) / (2.0 * twice_area))
+    K = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    load = np.zeros(mesh.n_nodes)
+    np.add.at(load, t.ravel(), np.repeat(twice_area / 3.0, 3))
+    return K, load
+
+
+@pytest.fixture(scope="module")
+def assembly_meshes(square, disk64):
+    corpus = polygon_corpus(seed=42, count=2)
+    return ([triangulate(square, 0.1), triangulate(disk64, 0.05)]
+            + [triangulate(p, 0.03 * metrics(p).circumradius) for p in corpus]
+            + [refine(triangulate(corpus[0], 0.04 * metrics(corpus[0]).circumradius))])
+
+
+def test_assemble_matches_nine_entry_reference(assembly_meshes):
+    for mesh in assembly_meshes:
+        K, load = torsion_fem.assemble(mesh)
+        K_ref, load_ref = _reference_assemble(mesh)
+        k_max = np.abs(K_ref).max()
+        assert np.abs(K - K_ref).max() <= 1e-14 * k_max
+        assert np.abs(load - load_ref).max() <= 1e-15 * np.abs(load_ref).max()
+        assert np.abs(K @ np.ones(mesh.n_nodes)).max() <= 1e-12 * k_max
+
+
+def test_edge_table(assembly_meshes):
+    for mesh in assembly_meshes:
+        t, n = mesh.triangles, mesh.n_nodes
+        keys = np.stack([_edge_key(t[:, (k + 1) % 3], t[:, (k + 2) % 3], n) for k in range(3)],
+                        axis=1)
+        assert np.array_equal(mesh.edges, np.unique(keys))
+        assert np.array_equal(mesh.edges[mesh.triangle_edges], keys)
+        once = np.bincount(mesh.triangle_edges.ravel()) == 1
+        i, j = mesh.boundary_edges.T
+        assert np.array_equal(mesh.edges[once], np.sort(_edge_key(i, j, n)))
