@@ -36,7 +36,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import LinearSolveFailure, MaximumPrincipleViolation, PointOutside
 from .mesh import TriMesh, _p1_basis, triangulate
-from .support_geometry import Polygon, _check_trials, seeded_rng
+from .support_geometry import Polygon, _check_count, seeded_rng
 
 LINEAR_TOL = 1e-10  # relative CG residual tolerance
 MAX_CG_ITERS = 50_000
@@ -269,7 +269,7 @@ def check_sqrt_concavity(f: TorsionField, trials: int = 1000,
     average with slack 0.02 * max sqrt(u).  Violations are reported, not
     raised.
     """
-    _check_trials(trials)
+    _check_count("trials", trials, 1)
     rng = seeded_rng(rng_seed)
     mesh = f.mesh
     areas = mesh.triangle_areas()

@@ -26,7 +26,7 @@ from .mesh import REL_MESH_H
 from .support_geometry import (
     Polygon,
     SupportSpec,
-    _check_trials,
+    _check_count,
     _cyclic_gaps,
     angles_to_normals,
     build_polytope,
@@ -106,6 +106,9 @@ def _random_polygon(rng: np.random.Generator, max_facets: int) -> Polygon:
 
 
 def polygon_corpus(seed: int, count: int, max_facets: int = 10) -> list[Polygon]:
+    """``count`` random polygons of 4 to ``max_facets`` facets, drawn from ``seed``."""
+    _check_count("count", count, 0)
+    _check_count("max_facets", max_facets, 4)
     rng = seeded_rng(seed)
     return [_random_polygon(rng, max_facets) for _ in range(count)]
 
@@ -171,7 +174,7 @@ def continuity_check(p: Polygon, perturbation_scale: float, trials: int,
     inradius — an engineering budget standing in for the continuity
     statement, which provides no modulus.
     """
-    _check_trials(trials)
+    _check_count("trials", trials, 1)
     m = metrics(p)
     if perturbation_scale >= 0.1 * m.inradius:
         raise InvariantViolation("perturbation_scale must stay below 0.1 * inradius")

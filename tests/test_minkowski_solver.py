@@ -290,27 +290,27 @@ def test_fine_stage_stops_on_the_l1_residual():
     assert rep.residual_history[-1] <= 0.02
 
 
-def test_each_evaluation_runs_one_lp(monkeypatch):
+def test_each_evaluation_computes_one_inradius(monkeypatch):
     # metrics is kept on each polygon and build_polytope on each spec, so
-    # an objective evaluation solves the inradius LP once, not up to 3 times;
-    # the reported body is no evaluation, but its metrics solve one more LP
+    # an objective evaluation computes the inradius once, not up to 3 times;
+    # the reported body is no evaluation, but its metrics compute one more
     target, _ = corpus_measure_target(7)
-    counts = {"lp": 0, "evals": 0}
-    linprog, evaluate = support_geometry.linprog, minkowski_solver.objective
+    counts = {"inradius": 0, "evals": 0}
+    inradius, evaluate = support_geometry._inradius, minkowski_solver.objective
 
-    def counting_linprog(*args, **kwargs):
-        counts["lp"] += 1
-        return linprog(*args, **kwargs)
+    def counting_inradius(*args, **kwargs):
+        counts["inradius"] += 1
+        return inradius(*args, **kwargs)
 
     def counting_objective(*args, **kwargs):
         counts["evals"] += 1
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(support_geometry, "linprog", counting_linprog)
+    monkeypatch.setattr(support_geometry, "_inradius", counting_inradius)
     monkeypatch.setattr(minkowski_solver, "objective", counting_objective)
     rep = solve_minkowski(target, SolveOptions())
     assert counts["evals"] > 0
-    assert counts["lp"] == counts["evals"] + 1
+    assert counts["inradius"] == counts["evals"] + 1
     assert rep.diagnostics["objective_calls"] == counts["evals"]
 
 

@@ -1,9 +1,17 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import linprog
 
+import torsion_minkowski
 from torsion_minkowski import (
     EmptyInterior,
     InvariantViolation,
@@ -239,7 +247,7 @@ def test_acceptance_commutes_with_dilation_and_translation(k, e, rho, phi, extra
     assert len(Polygon.from_vertices(s * p.vertices + t)) == len(p)
     moved = translate(scale(p, s), t)
     assert len(moved) == len(p)
-    # the inradius LP runs on the centred body, so only the input's roundoff remains
+    # the inradius is computed on the centred body, so only the input's roundoff remains
     assert metrics(moved).inradius == pytest.approx(s * m.inradius, rel=64 * EPS * (1 + rho))
     # one extra constraint cuts a corner, touches a vertex or is slack
     # (depth -0.02, 0 or 0.02 circumradii), so the active set is tested
@@ -312,6 +320,106 @@ def test_polygon_and_metrics_kept_on_their_inputs():
 
 def test_metrics_hexagon(hexagon):
     assert metrics(hexagon).inradius == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-9)
+
+
+def _lp_inradius(p: Polygon) -> float:
+    """Reference: the Chebyshev center LP, max r subject to <n_i, x> + r <= h_i,
+    on the body centred and divided by R, since HiGHS's tolerances are absolute."""
+    r = metrics(p).circumradius
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.column_stack([p.facet_normals, np.ones(len(p))]),
+                  b_ub=(p.offsets - p.facet_normals @ p.centroid) / r,
+                  bounds=[(None, None), (None, None), (0, None)], method="highs")
+    assert res.success, res.message
+    return r * float(res.x[2])
+
+
+def test_inradius_matches_the_chebyshev_lp():
+    # the corpora, each body also dilated by 1e-6 and 1e6 and translated far
+    bodies = (polygon_corpus(42, 50) + polygon_corpus(7, 50, max_facets=32)
+              + polygon_corpus(123, 50) + [regular_polygon(n) for n in range(3, 65)])
+    worst = 0.0
+    for p in bodies:
+        r = metrics(p).circumradius
+        for q in (p, scale(p, 1e-6), scale(p, 1e6),
+                  translate(p, [1e3 * r, 0.0]), translate(p, [-3e3 * r, 7e2 * r])):
+            worst = max(worst, abs(metrics(q).inradius / _lp_inradius(q) - 1.0))
+    assert worst <= 1e-12
+
+
+def _det3(rows) -> int:
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _exact_inradius(p: Polygon) -> Fraction:
+    """Brute-force reference in exact arithmetic on the polygon's own float
+    data: the maximum, over all triples of facet lines, of the least line
+    distance h_l - <n_l, x> at the triple's equidistant point x."""
+    rows = np.column_stack([p.facet_normals, p.offsets])
+    data = [[Fraction(float(v)) for v in row] for row in rows]
+    # the largest denominator, a power of 2, makes every entry whole
+    unit = max(v.denominator for row in data for v in row)
+    lines = [[int(v * unit) for v in row] for row in data]  # <n, x> + unit r <= h, times unit
+    best = None
+    for triple in itertools.combinations(lines, 3):
+        det = _det3([(nx, ny, unit) for nx, ny, _ in triple])
+        if det == 0:
+            continue
+        x = _det3([(h, ny, unit) for _, ny, h in triple])
+        y = _det3([(nx, h, unit) for nx, _, h in triple])
+        if det < 0:
+            det, x, y = -det, -x, -y
+        least = Fraction(min(h * det - nx * x - ny * y for nx, ny, h in lines), unit * det)
+        best = least if best is None else max(best, least)
+    return best
+
+
+def _arc_body(rng: np.random.Generator) -> Polygon:
+    """3 or 4 arcs of 3 to 6 edges whose corners turn by 1e-8..1e-4 rad,
+    closed by solving for two edge lengths, centred at the origin."""
+    while True:
+        base = np.sort(rng.uniform(0.0, 2.0 * np.pi, rng.integers(3, 5)))
+        gaps = np.append(np.diff(base), base[0] + 2.0 * np.pi - base[-1])
+        if gaps.max() > 0.9 * np.pi or gaps.min() < 0.3:
+            continue
+        ang = np.concatenate([b + 10.0 ** rng.uniform(-8, -4) * np.arange(rng.integers(3, 7))
+                              for b in base])
+        if len(ang) > 16:
+            continue
+        dirs = np.column_stack([-np.sin(ang), np.cos(ang)])  # edges with outward normals at ang
+        lengths = rng.uniform(0.2, 1.0, len(ang))
+        closing = -(lengths[1:-1, None] * dirs[1:-1]).sum(axis=0)
+        lengths[[0, -1]] = np.linalg.solve(dirs[[0, -1]].T, closing)
+        if lengths[0] > 0.05 and lengths[-1] > 0.05:
+            p = Polygon.from_vertices(np.cumsum(lengths[:, None] * dirs, axis=0))
+            return translate(p, -p.centroid)
+
+
+def test_inradius_matches_exact_arithmetic_on_near_degenerate_bodies():
+    rng = np.random.default_rng(2)
+    bodies = [_arc_body(rng) for _ in range(25)]
+    for p in polygon_corpus(5, 25, max_facets=8):
+        theta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, -3)
+        c, s = np.cos(theta), np.sin(theta)
+        q = minkowski_sum(p, Polygon.from_vertices(p.vertices @ np.array([[c, s], [-s, c]])))
+        bodies.append(translate(q, -q.centroid))
+    # parallel neighbours: the short sides vanish as the body collapses
+    for w, h in ((3.0, 1.0), (1.0, 3.0)):
+        bodies.append(Polygon.from_vertices([[-w, -h], [w, -h], [w, h], [-w, h]]))
+    for p in bodies:
+        assert len(p) <= 16
+        exact = _exact_inradius(p)
+        assert abs(Fraction(metrics(p).inradius) - exact) <= 1e-15 * exact
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # the child finds the package where this process did
+    path = [str(Path(torsion_minkowski.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = "import sys, torsion_minkowski; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------ hausdorff

@@ -87,6 +87,10 @@ def test_negative_seed_rejected(square, square_field):
         check_sqrt_concavity(square_field, rng_seed=-1)
     with pytest.raises(InvariantViolation, match="seed"):
         polygon_corpus(-1, 1)
+    assert polygon_corpus(1, 0) == []
+    for count, max_facets in ((-2, 10), (2.0, 10), (True, 10), (2, 3), (2, 4.0)):
+        with pytest.raises(InvariantViolation, match="count|max_facets"):
+            polygon_corpus(1, count, max_facets=max_facets)
 
 
 def test_homogeneity_identity_scale(square):
