@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FacetAttributionMissing, InvariantViolation
-from .mesh import refine, triangulate
+from .mesh import triangulate
 from .support_geometry import (
     Polygon,
     SupportSpec,
@@ -35,7 +35,7 @@ from .support_geometry import (
     scale,
     support_values,
 )
-from .torsion_fem import TorsionField, solve_torsion
+from .torsion_fem import TorsionField, solve_nested
 
 CLOSURE_BUDGET = 0.02  # relative first-moment defect allowed for a measure
 
@@ -168,13 +168,14 @@ def _tau_refined(p: Polygon, target_h: float):
     converges as O(h^2) on the nested pair, so the extrapolation knocks
     the error down by roughly two more orders; the finite-difference
     Hadamard probe needs that accuracy because it divides tau
-    differences by small step sizes.
+    differences by small step sizes.  ``solve_nested`` solves the pair:
+    the refined solve's multigrid has the mesh itself as its first
+    coarse level, reusing the mesh solve's levels below it, and its CG
+    starts from the mesh solution interpolated at the edge midpoints.
     """
-    mesh = triangulate(p, target_h)
-    f1 = solve_torsion(mesh)
-    f2 = solve_torsion(refine(mesh))
-    tau = (4.0 * f2.tau_energy - f1.tau_energy) / 3.0
-    return tau, f2
+    coarse, fine = solve_nested(triangulate(p, target_h))
+    tau = (4.0 * fine.tau_energy - coarse.tau_energy) / 3.0
+    return tau, fine
 
 
 @dataclass(frozen=True)
@@ -185,6 +186,7 @@ class HadamardReport:
     mismatches: np.ndarray
     extrapolated_quotient: float
     extrapolated_mismatch: float
+    cg_iterations: tuple[int, ...]  # refined solves: the body, then each s
 
     @property
     def monotone_tail(self) -> bool:
@@ -214,11 +216,12 @@ def hadamard_fd_check(spec: SupportSpec, spec_prime: SupportSpec,
     tau0, fine = _tau_refined(body, mesh_h)
     mu = facet_measure(fine)
     predicted = mixed_torsion(mu, body_prime)
-    quotients = []
+    quotients, iterations = [], [fine.cg_iterations]
     for s in s_values:
         summed = minkowski_sum(body, scale(body_prime, float(s)))
-        tau_s, _ = _tau_refined(summed, mesh_h)
+        tau_s, fine_s = _tau_refined(summed, mesh_h)
         quotients.append((tau_s - tau0) / s)
+        iterations.append(fine_s.cg_iterations)
     quotients = np.asarray(quotients)
     mismatches = np.abs(quotients - predicted) / abs(predicted)
     if len(s_values) >= 2:
@@ -234,4 +237,5 @@ def hadamard_fd_check(spec: SupportSpec, spec_prime: SupportSpec,
         mismatches=mismatches,
         extrapolated_quotient=q0,
         extrapolated_mismatch=abs(q0 - predicted) / abs(predicted),
+        cg_iterations=tuple(iterations),
     )

@@ -270,6 +270,7 @@ def _cmd_hadamard(args: dict) -> int:
         "extrapolated_quotient": rep.extrapolated_quotient,
         "extrapolated_mismatch": rep.extrapolated_mismatch,
         "monotone_tail": rep.monotone_tail,
+        "cg_iterations": list(rep.cg_iterations),
     }, args.get("output_path"))
     return EXIT_OK
 

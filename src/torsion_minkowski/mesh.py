@@ -47,11 +47,12 @@ class TriMesh:
     edge ``k`` joins ``boundary_edges[k]`` (a consecutive node pair along
     the boundary walk) and lies on polygon facet ``boundary_facets[k]``.
 
-    The edge table is set at construction: ``edges`` holds the sorted
-    unique keys min*n + max of the undirected edges (see ``_edge_key``),
-    and ``triangle_edges[t, k]`` is the index in ``edges`` of the edge of
+    The edge table: ``edges`` holds the sorted unique keys min*n + max
+    of the undirected edges (see ``_edge_key``), and
+    ``triangle_edges[t, k]`` is the index in ``edges`` of the edge of
     triangle t opposite its node k.  The conformity check, ``refine`` and
-    the stiffness assembly read it.
+    the stiffness assembly read it.  ``refine`` passes its child's table,
+    which follows from the parent's; otherwise construction computes it.
     """
 
     nodes: np.ndarray
@@ -61,16 +62,17 @@ class TriMesh:
     boundary_edge_lengths: np.ndarray
     target_h: float
     polygon: Polygon
-    edges: np.ndarray = field(init=False, repr=False, compare=False)
-    triangle_edges: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray | None = field(default=None, repr=False, compare=False)
+    triangle_edges: np.ndarray | None = field(default=None, repr=False, compare=False)
     _tree: cKDTree | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = self.triangles
-        keys = _edge_key(np.roll(t, -1, axis=1), np.roll(t, -2, axis=1), self.n_nodes)
-        # ravelled: the shape of the inverse of an n-d input differs across numpy 2.x
-        self.edges, inverse = np.unique(keys.ravel(), return_inverse=True)
-        self.triangle_edges = inverse.reshape(t.shape)
+        if self.edges is None:
+            t = self.triangles
+            keys = _edge_key(np.roll(t, -1, axis=1), np.roll(t, -2, axis=1), self.n_nodes)
+            # ravelled: the shape of the inverse of an n-d input differs across numpy 2.x
+            self.edges, inverse = np.unique(keys.ravel(), return_inverse=True)
+            self.triangle_edges = inverse.reshape(t.shape)
 
     @property
     def n_nodes(self) -> int:
@@ -345,7 +347,8 @@ def refine(m: TriMesh) -> TriMesh:
     Child triangles are similar to their parent, so angle quality is
     preserved exactly; boundary facet attribution is inherited.  The
     midpoint of the k-th edge of the parent's edge table becomes node
-    n_nodes + k.
+    n_nodes + k.  The child's edge table follows from the parent's (see
+    ``_child_edges``).
     """
     keys, n = m.edges, m.n_nodes
     if n + len(keys) > NODE_CAP:
@@ -360,9 +363,45 @@ def refine(m: TriMesh) -> TriMesh:
     b_edges = np.stack([i, k, k, j], axis=1).reshape(-1, 2)
     lengths = np.hypot(*(nodes[b_edges[:, 1]] - nodes[b_edges[:, 0]]).T)
     out = TriMesh(nodes, triangles, b_edges, np.repeat(m.boundary_facets, 2),
-                  lengths, m.target_h / 2.0, m.polygon)
+                  lengths, m.target_h / 2.0, m.polygon, *_child_edges(m))
     _assert_conforming(out)
     return out
+
+
+def _child_edges(m: TriMesh):
+    """``(edges, triangle_edges)`` of ``refine(m)``, from m's edge table.
+
+    Parent edge e, joining lo < hi, gives the halves (lo, n + e) and
+    (hi, n + e); each parent triangle gives the three edges joining its
+    midpoints.  Every half has a parent node below n as its smaller end
+    and every midpoint edge has none, so the sorted halves precede the
+    sorted midpoint edges, and each group is sorted on its own.
+    """
+    keys, n = m.edges, m.n_nodes
+    lo, hi = np.divmod(keys, n)
+    size = n + len(keys)
+    mid = n + np.arange(len(keys))
+    halves = np.column_stack([lo * size + mid, hi * size + mid]).ravel()  # 2e: at lo, 2e + 1: at hi
+    e_bc, e_ca, e_ab = m.triangle_edges.T  # parent edges opposite a, b, c
+    bc, ca, ab = n + e_bc, n + e_ca, n + e_ab
+    inner = np.column_stack([_edge_key(bc, ca, size), _edge_key(ca, ab, size),
+                             _edge_key(ab, bc, size)])  # opposite ab, bc, ca in (ab, bc, ca)
+    order = np.concatenate([np.argsort(halves), len(halves) + np.argsort(inner.ravel())])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    a, b, c = m.triangles.T
+
+    def half(e, node):  # index of the half of parent edge e that ends at node
+        return rank[2 * e + (node == hi[e])]
+
+    inner_rank = rank[len(halves):].reshape(-1, 3)
+    triangle_edges = np.stack([
+        inner_rank[:, 1], half(e_ca, a), half(e_ab, a),  # (a, ab, ca)
+        half(e_bc, b), inner_rank[:, 2], half(e_ab, b),  # (ab, b, bc)
+        half(e_bc, c), half(e_ca, c), inner_rank[:, 0],  # (ca, bc, c)
+        inner_rank[:, 0], inner_rank[:, 1], inner_rank[:, 2],  # (ab, bc, ca)
+    ], axis=1).reshape(-1, 3)
+    return np.concatenate([halves, inner.ravel()])[order], triangle_edges
 
 
 @dataclass(frozen=True)

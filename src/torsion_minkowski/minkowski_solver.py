@@ -53,6 +53,7 @@ from .support_geometry import (
     Polygon,
     SupportSpec,
     _check_directions,
+    _check_fan,
     build_polytope,
     hausdorff_distance,
     metrics,
@@ -86,12 +87,24 @@ class TargetMeasure:
             raise InvariantViolation("one weight per normal required")
         if not np.all(np.isfinite(weights) & (weights > 0)):
             raise InvariantViolation("target weights must be finite and strictly positive")
-        moment = weights @ probe.normals
+        self._set_balanced(probe.normals, weights)
+
+    @classmethod
+    def _from_checked(cls, normals: np.ndarray, weights: np.ndarray) -> "TargetMeasure":
+        """A target from a normal fan and positive weights that
+        ``project_balance`` has checked; only the balance is checked."""
+        target = cls.__new__(cls)
+        target._set_balanced(normals, weights)
+        return target
+
+    def _set_balanced(self, normals: np.ndarray, weights: np.ndarray) -> None:
+        moment = weights @ normals
         if np.linalg.norm(moment) > 1e-9 * weights.sum():
             raise InvariantViolation(
                 "target measure is not balanced; run project_balance first")
+        normals.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "normals", probe.normals)
+        object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
@@ -103,21 +116,21 @@ def project_balance(c_raw, normals) -> TargetMeasure:
 
     Raw weights are checked here: one finite, strictly positive weight
     per normal.  Normals may arrive in any cyclic order; they are sorted
-    by angle with the weights permuted along.  The perturbation is the
-    minimum-norm one; if it exceeds 5% of any weight, or positivity is
-    lost, the datum is rejected.
+    by angle with the weights permuted along, and checked once, as
+    ``SupportSpec`` checks them.  The perturbation is the minimum-norm
+    one; if it exceeds 5% of any weight, or positivity is lost, the datum
+    is rejected.
     """
     normals = _check_directions(normals)
     c = np.asarray(c_raw, dtype=float)
     if c.shape != (len(normals),) or not np.all(np.isfinite(c) & (c > 0)):
         raise UnbalanceableMeasure("weights must be finite and strictly positive, one per normal")
     order = np.argsort(normal_angles(normals))
-    normals, c = normals[order], c[order]
+    X, c = normals[order], c[order]
     try:
-        probe = SupportSpec(normals, np.ones(len(c)))
+        _check_fan(X)
     except UnboundedBody as exc:
         raise UnbalanceableMeasure(f"normals cannot support a balanced measure: {exc}") from exc
-    X = probe.normals
     moment = c @ X
     gram = X.T @ (X)
     delta = -X @ np.linalg.solve(gram, moment)
@@ -130,7 +143,7 @@ def project_balance(c_raw, normals) -> TargetMeasure:
     # kill the residual roundoff moment exactly
     moment2 = c_new @ X
     c_new = c_new - X @ np.linalg.solve(gram, moment2)
-    return TargetMeasure(X, c_new)
+    return TargetMeasure._from_checked(X, c_new)
 
 
 @dataclass(frozen=True)

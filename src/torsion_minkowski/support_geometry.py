@@ -62,6 +62,20 @@ def _check_directions(normals: np.ndarray) -> np.ndarray:
     return normals
 
 
+def _check_fan(normals: np.ndarray) -> None:
+    """Reject unit normals (as ``_check_directions`` returns them) that
+    are not strictly sorted by angle, are near-parallel, or do not
+    positively span the plane (UnboundedBody)."""
+    ang = normal_angles(normals)
+    if np.any(np.diff(ang) <= 0):
+        raise InvariantViolation("normals must be strictly sorted by angle")
+    gaps = _cyclic_gaps(ang)
+    if gaps.min() < MIN_ANGULAR_GAP:
+        raise InvariantViolation("near-parallel normals (angular gap < 1e-9 rad)")
+    if gaps.max() >= np.pi - MIN_ANGULAR_GAP:
+        raise UnboundedBody("normals do not positively span the plane")
+
+
 def _cyclic_gaps(angles: np.ndarray) -> np.ndarray:
     gaps = np.diff(angles)
     wrap = angles[0] + 2.0 * np.pi - angles[-1]
@@ -101,14 +115,7 @@ class SupportSpec:
         values = np.ascontiguousarray(self.values, dtype=float)
         if values.shape != (len(normals),) or not np.all(np.isfinite(values)):
             raise InvariantViolation("values must be finite, one entry per normal")
-        ang = normal_angles(normals)
-        if np.any(np.diff(ang) <= 0):
-            raise InvariantViolation("normals must be strictly sorted by angle")
-        gaps = _cyclic_gaps(ang)
-        if gaps.min() < MIN_ANGULAR_GAP:
-            raise InvariantViolation("near-parallel normals (angular gap < 1e-9 rad)")
-        if gaps.max() >= np.pi - MIN_ANGULAR_GAP:
-            raise UnboundedBody("normals do not positively span the plane")
+        _check_fan(normals)
         normals.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "normals", normals)

@@ -23,6 +23,16 @@ restriction R = P^T kept per level, and the coarsest level, of at most
 ``COARSE_SIZE`` unknowns, is factorised by dense Cholesky.  A system that
 small gets no levels, so the V-cycle is its exact solve and CG stops after
 one iteration.  The iteration count stays flat as the mesh is refined.
+
+``solve_nested`` solves a mesh and then its uniform refinement (the
+Hadamard check's Richardson pair) without aggregating the refined mesh.
+The refined V-cycle's first level prolongs by the P1 interpolation of
+``refine``'s numbering (a parent node keeps its value, an edge midpoint
+takes the mean of its ends), restricted to interior nodes; since the
+spaces are nested, R K_fine P is the mesh's own interior system, so the
+mesh solve's levels and Cholesky factor serve unchanged below it.  CG
+starts from the prolonged mesh solution and stops at the same residual
+LINEAR_TOL ||b|| as from zero.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import LinearSolveFailure, MaximumPrincipleViolation, PointOutside
-from .mesh import TriMesh, _p1_basis, triangulate
+from .mesh import TriMesh, _p1_basis, refine, triangulate
 from .support_geometry import Polygon, _check_count, seeded_rng
 
 LINEAR_TOL = 1e-10  # relative CG residual tolerance
@@ -176,15 +186,21 @@ def _vcycle(levels, coarse, r):
     return e
 
 
-def _pcg(A, b, precondition):
-    """Preconditioned conjugate gradients from x = 0 to the relative
-    residual LINEAR_TOL; returns (x, iterations).  Raises
-    LinearSolveFailure when MAX_CG_ITERS iterations do not reach it or
-    the residual or preconditioned residual turns non-finite."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p, rz, iterations = None, 0.0, 0
+def _pcg(A, b, precondition, x0=None):
+    """Preconditioned conjugate gradients from x0 (zero if None) to the
+    residual LINEAR_TOL ||b||; returns (x, iterations).  Raises
+    LinearSolveFailure when b is not finite, when MAX_CG_ITERS iterations
+    do not reach the tolerance, or when the residual or preconditioned
+    residual turns non-finite."""
     stop = LINEAR_TOL * np.linalg.norm(b)
+    if not np.isfinite(stop):
+        raise LinearSolveFailure("load vector is not finite")
+    if x0 is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = x0.copy()
+        r = b - A @ x
+    p, rz, iterations = None, 0.0, 0
     while not np.linalg.norm(r) <= stop:
         if iterations == MAX_CG_ITERS:
             raise LinearSolveFailure(f"CG hit its cap of {MAX_CG_ITERS} iterations")
@@ -201,22 +217,20 @@ def _pcg(A, b, precondition):
     return x, iterations
 
 
-def solve_torsion(mesh: TriMesh) -> TorsionField:
-    """Solve the torsion problem on a mesh.
-
-    The symmetric positive-definite interior system is solved by
-    conjugate gradients preconditioned by one smoothed-aggregation
-    V-cycle (see the module docstring).  Raises LinearSolveFailure if the
-    iteration cap is hit or the final residual is above tolerance, and
-    MaximumPrincipleViolation if any interior value comes out
-    non-positive (a symptom of a bad mesh).
-    """
+def _system(mesh: TriMesh):
+    """Stiffness K, load b, interior node indices idx and the interior
+    matrix K[idx][:, idx] of a mesh."""
     K, b = assemble(mesh)
     idx = np.flatnonzero(~mesh.is_boundary)
-    Kii = K[idx][:, idx]
+    return K, b, idx, K[idx][:, idx]
+
+
+def _field(mesh, K, b, idx, Kii, ui, iterations, levels, complexity) -> TorsionField:
+    """Check an interior solution ui of Kii u = b[idx] and complete it to
+    a TorsionField.  Raises LinearSolveFailure if the residual is above
+    10 LINEAR_TOL ||b[idx]|| and MaximumPrincipleViolation if any interior
+    value is non-positive."""
     bi = b[idx]
-    levels, coarse, complexity = _hierarchy(Kii, mesh.nodes[idx], mesh.target_h)
-    ui, iterations = _pcg(Kii, bi, lambda r: _vcycle(levels, coarse, r))
     resid = np.linalg.norm(Kii @ ui - bi)
     if not resid <= 10.0 * LINEAR_TOL * np.linalg.norm(bi):
         raise LinearSolveFailure(f"CG residual {resid:.2e} above tolerance")
@@ -231,7 +245,80 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     tau_mass = float(u @ b)
     gap = abs(tau_energy - tau_mass) / tau_energy
     return TorsionField(mesh, u, tau_energy, tau_mass, gap, Ku - b, iterations,
-                        len(levels), complexity)
+                        levels, complexity)
+
+
+def solve_torsion(mesh: TriMesh) -> TorsionField:
+    """Solve the torsion problem on a mesh.
+
+    The symmetric positive-definite interior system is solved by
+    conjugate gradients preconditioned by one smoothed-aggregation
+    V-cycle (see the module docstring).  Raises LinearSolveFailure if the
+    iteration cap is hit or the final residual is above tolerance, and
+    MaximumPrincipleViolation if any interior value comes out
+    non-positive (a symptom of a bad mesh).
+    """
+    return _solve(mesh)[0]
+
+
+def _solve(mesh: TriMesh):
+    """``solve_torsion``'s solve; returns the field and the interior
+    system's ``(idx, Kii, levels, coarse)``."""
+    K, b, idx, Kii = _system(mesh)
+    levels, coarse, complexity = _hierarchy(Kii, mesh.nodes[idx], mesh.target_h)
+    ui, iterations = _pcg(Kii, b[idx], lambda r: _vcycle(levels, coarse, r))
+    field = _field(mesh, K, b, idx, Kii, ui, iterations, len(levels), complexity)
+    return field, (idx, Kii, levels, coarse)
+
+
+def _prolongation(mesh: TriMesh, idx: np.ndarray, fine_idx: np.ndarray) -> sp.csr_matrix:
+    """P1 prolongation from the interior nodes ``idx`` of a mesh to the
+    interior nodes ``fine_idx`` of ``refine(mesh)``.
+
+    Fine node k < n_nodes is parent node k (weight 1); fine node
+    n_nodes + e is the midpoint of parent edge e (weights 1/2 on its two
+    ends).  Columns of boundary parents are dropped, since u vanishes
+    there.
+    """
+    n = mesh.n_nodes
+    col = np.full(n, -1)
+    col[idx] = np.arange(len(idx))
+    ends = np.concatenate([np.repeat(np.arange(n), 2),
+                           np.column_stack(np.divmod(mesh.edges, n)).ravel()])
+    cols = col[ends.reshape(-1, 2)[fine_idx]]
+    is_parent = fine_idx < n
+    cols[is_parent, 1] = -1
+    keep = cols >= 0
+    weight = np.broadcast_to(np.where(is_parent, 1.0, 0.5)[:, None], cols.shape)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((weight[keep], cols[keep], indptr), shape=(len(fine_idx), len(idx)))
+
+
+def solve_nested(mesh: TriMesh) -> tuple[TorsionField, TorsionField]:
+    """Solve the torsion problem on a mesh and on its uniform refinement.
+
+    The first solve is ``solve_torsion(mesh)``.  The second builds no
+    aggregation levels: its V-cycle's first level is the refined
+    interior system with the geometric prolongation P of ``refine``'s
+    numbering (``_prolongation``) and R = P^T, and below it run the
+    first solve's levels and coarsest factor unchanged.  For nested P1
+    spaces R K_fine P is the coarse interior system, so this is a
+    Galerkin hierarchy.  CG starts from the prolonged coarse solution
+    and stops at the same residual LINEAR_TOL ||b|| as from zero.
+    Returns (coarse field, fine field); the fine field's ``levels`` is
+    the coarse field's plus one, and its ``operator_complexity`` counts
+    the reused levels.  Raises as ``solve_torsion`` does.
+    """
+    first, (idx, Kii, levels, coarse) = _solve(mesh)
+    fine = refine(mesh)
+    K, b, fine_idx, Aii = _system(fine)
+    P = _prolongation(mesh, idx, fine_idx)
+    nested = [(Aii, SMOOTH_OMEGA / Aii.diagonal(), P, P.T.tocsr())] + levels
+    ui, iterations = _pcg(Aii, b[fine_idx], lambda r: _vcycle(nested, coarse, r),
+                          x0=P @ first.u[idx])
+    complexity = 1.0 + first.operator_complexity * Kii.nnz / Aii.nnz
+    second = _field(fine, K, b, fine_idx, Aii, ui, iterations, len(nested), complexity)
+    return first, second
 
 
 def solve_on_polygon(p: Polygon, target_h: float) -> TorsionField:

@@ -288,6 +288,10 @@ def test_hadamard_command(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["mismatches"][0] < 0.03
+    # one refined solve per body: the body, then the sum at s = 0.01
+    iterations = payload["cg_iterations"]
+    assert len(iterations) == 2
+    assert all(isinstance(k, int) and 1 <= k <= 25 for k in iterations)
 
 
 def test_verify_command_smoke(tmp_path):

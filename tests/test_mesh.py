@@ -323,3 +323,19 @@ def test_refine_matches_midpoint_dictionary(hexagon):
         b_edges += [(i, at(i, j)), (at(i, j), j)]
     assert np.array_equal(fine.boundary_edges, np.array(b_edges))
     assert np.array_equal(fine.boundary_facets, np.repeat(m.boundary_facets, 2))
+
+
+def test_refine_builds_the_edge_table_np_unique_builds(square, hexagon):
+    # the child's table follows from the parent's; it must be the one that
+    # construction computes from the child's triangles
+    corpus = polygon_corpus(seed=42, count=2)
+    meshes = ([triangulate(square, 0.2), triangulate(hexagon, 0.2)]
+              + [triangulate(p, 0.04 * metrics(p).circumradius) for p in corpus])
+    for m in meshes:
+        for _ in range(2):
+            m = refine(m)
+            t = m.triangles
+            fresh = mesh_module.TriMesh(m.nodes, t, m.boundary_edges, m.boundary_facets,
+                                        m.boundary_edge_lengths, m.target_h, m.polygon)
+            assert np.array_equal(m.edges, fresh.edges)
+            assert np.array_equal(m.triangle_edges, fresh.triangle_edges)

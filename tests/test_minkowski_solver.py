@@ -54,6 +54,24 @@ def test_project_balance_keeps_balanced_data():
     assert np.allclose(tm3.weights, 1.0, atol=1e-12)
 
 
+def test_project_balance_checks_the_normals_once(monkeypatch):
+    check, calls = support_geometry._check_directions, []
+
+    def counted(normals):
+        calls.append(normals)
+        return check(normals)
+
+    for module in (support_geometry, minkowski_solver):
+        monkeypatch.setattr(module, "_check_directions", counted)
+    weights = np.array([1.0, 1.01, 0.99, 1.0])
+    tm = project_balance(weights[::-1], AXIS_NORMALS[::-1])
+    assert len(calls) == 1
+    assert not tm.normals.flags.writeable and not tm.weights.flags.writeable
+    assert np.array_equal(tm.normals, AXIS_NORMALS)
+    again = TargetMeasure(tm.normals, tm.weights)
+    assert np.array_equal(again.weights, tm.weights)
+
+
 def test_project_balance_two_normals_rejected():
     with pytest.raises(UnbalanceableMeasure):
         project_balance(np.ones(2), angles_to_normals([0.0, np.pi / 2]))

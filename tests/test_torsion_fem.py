@@ -12,7 +12,9 @@ from torsion_minkowski import (
     check_sqrt_concavity,
     gradient_at,
     metrics,
+    minkowski_sum,
     refine,
+    regular_polygon,
     scale,
     solve_on_polygon,
     solve_torsion,
@@ -246,3 +248,93 @@ def test_edge_table(assembly_meshes):
         once = np.bincount(mesh.triangle_edges.ravel()) == 1
         i, j = mesh.boundary_edges.T
         assert np.array_equal(mesh.edges[once], np.sort(_edge_key(i, j, n)))
+
+
+@pytest.fixture(scope="module")
+def nested_meshes():
+    # the square, the hexagon, corpus members 0 and 1, and the hadamard
+    # workload's sliver sum (corpus 2 + 0.005 corpus 3), at 0.02 R
+    corpus = polygon_corpus(seed=42, count=4)
+    bodies = [regular_polygon(4), regular_polygon(6), corpus[0], corpus[1],
+              minkowski_sum(corpus[2], scale(corpus[3], 0.005))]
+    return [triangulate(p, 0.02 * metrics(p).circumradius) for p in bodies]
+
+
+def test_nested_solve_matches_the_plain_refined_solve(nested_meshes):
+    for mesh in nested_meshes:
+        coarse, fine = torsion_fem.solve_nested(mesh)
+        plain = solve_torsion(refine(mesh))
+        assert abs(fine.tau_energy - plain.tau_energy) <= 1e-10 * plain.tau_energy
+        assert np.abs(fine.u - plain.u).max() <= 1e-8 * plain.u.max()
+        assert fine.cg_iterations <= plain.cg_iterations
+        assert fine.levels == coarse.levels + 1
+        assert 1.0 < fine.operator_complexity <= 1.4
+        assert fine.estimator_gap < 1e-8
+        assert np.array_equal(fine.mesh.triangles, plain.mesh.triangles)
+        alone = solve_torsion(mesh)
+        assert np.array_equal(coarse.u, alone.u)
+        assert coarse.cg_iterations == alone.cg_iterations
+
+
+def test_prolongation_is_the_galerkin_coarse_system(nested_meshes):
+    # for nested P1 spaces P^T K_fine P is the coarse interior system
+    for mesh in nested_meshes[:3]:
+        K, _, idx, Kii = torsion_fem._system(mesh)
+        fine = refine(mesh)
+        _, _, fine_idx, Aii = torsion_fem._system(fine)
+        P = torsion_fem._prolongation(mesh, idx, fine_idx)
+        assert np.abs(P.T @ Aii @ P - Kii).max() <= 1e-12 * np.abs(Kii).max()
+
+
+def test_refined_cg_starts_from_the_interpolated_coarse_solution(square, monkeypatch):
+    pcg, starts = torsion_fem._pcg, []
+
+    def spy(A, b, precondition, x0=None):
+        starts.append(x0)
+        return pcg(A, b, precondition, x0)
+
+    monkeypatch.setattr(torsion_fem, "_pcg", spy)
+    mesh = triangulate(square, 0.1)
+    coarse, fine = torsion_fem.solve_nested(mesh)
+    assert len(starts) == 2 and starts[0] is None
+    start = np.zeros(fine.mesh.n_nodes)
+    start[~fine.mesh.is_boundary] = starts[1]
+    lo, hi = np.divmod(mesh.edges, mesh.n_nodes)
+    interpolated = np.concatenate([coarse.u, 0.5 * (coarse.u[lo] + coarse.u[hi])])
+    assert np.abs(start - interpolated).max() <= 1e-15 * coarse.u.max()
+    # the stopping test is relative to ||b||: an exact start needs no iteration
+    _, b, idx, A = torsion_fem._system(mesh)
+    exact = spsolve(A.tocsc(), b[idx])
+    x, iterations = pcg(A, b[idx], lambda r: r, x0=exact)
+    assert iterations == 0 and np.array_equal(x, exact)
+
+
+@pytest.mark.parametrize("side", [0.2, 0.1])
+def test_nested_solve_hits_its_iteration_cap(square, monkeypatch, side):
+    # at 0.2 the coarse system is solved exactly in one iteration, so the
+    # refined solve is the one that hits the cap
+    monkeypatch.setattr(torsion_fem, "MAX_CG_ITERS", 1)
+    with pytest.raises(LinearSolveFailure, match="cap"):
+        torsion_fem.solve_nested(triangulate(square, side))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [0, 1])
+def test_non_finite_load_raises(square, monkeypatch, bad, call):
+    # call 0 spoils the coarse load, call 1 the refined one
+    assemble, calls = torsion_fem.assemble, []
+
+    def spoiled(mesh):
+        K, load = assemble(mesh)
+        if len(calls) == call:
+            load[np.flatnonzero(~mesh.is_boundary)[0]] = bad
+        calls.append(mesh)
+        return K, load
+
+    monkeypatch.setattr(torsion_fem, "assemble", spoiled)
+    with pytest.raises(LinearSolveFailure, match="not finite"):
+        torsion_fem.solve_nested(triangulate(square, 0.1))
+    if call == 0:
+        calls.clear()
+        with pytest.raises(LinearSolveFailure, match="not finite"):
+            solve_torsion(triangulate(square, 0.1))
