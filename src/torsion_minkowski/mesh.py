@@ -3,19 +3,20 @@
 The generator works in the polygon's lattice frame: the bounding-box
 corner moved to the origin, and the coordinates divided by the power of
 two nearest the extent (an exact division).  There it samples each
-polygon facet at half the interior target spacing (boundary-flux
-accuracy drives the downstream pipeline) and fills the interior with a
-hexagonal lattice anchored at the origin, keeping the lattice points at
-least 0.4 lattice spacings deep.  Nothing moves the nodes afterwards, so
-they are closed-form in the polygon's vertices.  The mesh is their
-Delaunay triangulation, from one qhull call on the boundary band (the
-nodes at most 1.5 lattice spacings deep) and the elementary lattice
-triangles of the deeper nodes, emitted straight from the lattice indices
-(see ``_stitch``).  The nodes are mapped back once, as
-``corner + unit * points``.  Since the frame removes the body's position
-and size, meshing commutes with translations and dilations, which the
-homogeneity and gauge-invariance checks rely on, and its roundoff does
-not grow with the distance from the origin.
+polygon facet at spacing target_h / 2, the mesh-size convention, and
+fills the interior with a hexagonal lattice of spacing 0.85 target_h
+anchored at the origin, keeping the lattice points at least 0.4 lattice
+spacings deep.  Depth is evaluated once, over the lattice.  Nothing
+moves the nodes afterwards, so they are closed-form in the polygon's
+vertices.  The mesh is their Delaunay triangulation, from one qhull call
+on the boundary band (the nodes at most 1.5 lattice spacings deep),
+whose triangles are kept by an emptiness test against the deeper nodes,
+and the elementary lattice triangles of the deeper nodes, emitted
+straight from the lattice indices (see ``_stitch``).  The nodes are
+mapped back once, as ``corner + unit * points``.  Since the frame
+removes the body's position and size, meshing commutes with translations
+and dilations, which the homogeneity and gauge-invariance checks rely
+on, and its roundoff does not grow with the distance from the origin.
 
 Every boundary edge is attributed to the polygon facet it lies on, so
 boundary integrals can be assembled facet by facet.
@@ -34,7 +35,9 @@ from .support_geometry import Polygon, metrics
 NODE_CAP = 2_000_000  # triangulate and refine raise MeshTooFine above this
 REL_MESH_H = 0.02  # default spacing relative to a body's circumradius (solver, verify checks, CLI)
 LATTICE_MARGIN = 0.4  # kept lattice points lie at least this many lattice spacings deep
-_BAND_RINGS = 1.5  # band depth in lattice spacings, > 2/sqrt(3) and > 1 + LATTICE_MARGIN (_stitch)
+# Band depth in lattice spacings: _hex_lattice marks the deeper nodes, and
+# _stitch needs it > 2/sqrt(3) and > 1 + LATTICE_MARGIN.
+_BAND_RINGS = 1.5
 MIN_ANGLE_DEG = 20.0  # smallest triangle angle check_mesh accepts
 LOCATE_CANDIDATES = 16  # nearest triangle centroids tried before a full scan
 
@@ -197,35 +200,48 @@ def _boundary_samples(p: Polygon, spacing: float):
     return np.vstack(pts), np.concatenate(facets)
 
 
-def _hex_lattice(p: Polygon, h: float):
+def _hex_lattice(p: Polygon, h: float, cap: int):
     """Hexagonal lattice points at depth >= LATTICE_MARGIN * h in a
     polygon whose bounding-box corner is the origin.
 
     The point of row iy and doubled column j = 2 ix + (iy % 2) sits at
-    (j h / 2, iy h sqrt(3) / 2).  Returns the kept points, their depths
-    and their (iy, j) index pairs.
+    (j h / 2, iy h sqrt(3) / 2).  Returns the kept points, whether each
+    lies deeper than the boundary band (depth > _BAND_RINGS * h), and
+    their (iy, j) index pairs.  The rows are built and depth-tested in
+    blocks of at most NODE_CAP points (or one row, if longer); MeshTooFine
+    is raised as soon as more than ``cap`` points are kept, so a refused
+    lattice costs memory in proportion to NODE_CAP, not to its size.
     """
     dy = h * np.sqrt(3.0) / 2.0
     ny = int(np.floor(p.vertices[:, 1].max() / dy)) + 1
     nx = int(np.floor(p.vertices[:, 0].max() / h)) + 1
-    iy, ix = np.mgrid[0:ny, 0:nx]
-    index = np.column_stack([iy.ravel(), (2 * ix + iy % 2).ravel()])
-    pts = index[:, ::-1] * np.array([h / 2.0, dy])
-    depth = p.distance_to_boundary(pts)
-    keep = depth >= LATTICE_MARGIN * h
-    return pts[keep], depth[keep], index[keep]
+    rows = max(1, NODE_CAP // nx)
+    pts, deep, index = [], [], []
+    kept = 0
+    for start in range(0, ny, rows):
+        iy, ix = np.mgrid[start:min(start + rows, ny), 0:nx]
+        block = np.column_stack([iy.ravel(), (2 * ix + iy % 2).ravel()])
+        xy = block[:, ::-1] * np.array([h / 2.0, dy])
+        depth = p.distance_to_boundary(xy)
+        keep = depth >= LATTICE_MARGIN * h
+        kept += int(keep.sum())
+        if kept > cap:
+            raise MeshTooFine(f"mesh would need more than the cap of {NODE_CAP} nodes")
+        pts.append(xy[keep])
+        deep.append(depth[keep] > _BAND_RINGS * h)
+        index.append(block[keep])
+    return np.vstack(pts), np.concatenate(deep), np.vstack(index)
 
 
-def _stitch(points: np.ndarray, first: int, h_lat: float, depth: np.ndarray,
-            index: np.ndarray, polygon: Polygon) -> np.ndarray:
+def _stitch(points: np.ndarray, outside: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Delaunay triangles of all points, counterclockwise, from one Delaunay
     of the boundary band and the lattice indices of the rest.
 
-    The points before ``first`` are boundary samples, at depth <= 0; the
-    rest are the lattice nodes of spacing h_lat that ``_hex_lattice`` kept,
-    at depths ``depth`` >= LATTICE_MARGIN h_lat and lattice indices
-    ``index``.  The band holds the boundary samples and the lattice nodes
-    at depth <= B h_lat, B = _BAND_RINGS.  Take a node deeper than B h_lat;
+    The points start with the boundary samples, at depth <= 0, and end
+    with the lattice nodes of spacing h_lat that ``_hex_lattice`` kept, at
+    depths >= LATTICE_MARGIN h_lat and lattice indices ``index``.
+    ``outside`` marks the lattice nodes deeper than B h_lat, B =
+    _BAND_RINGS; the band holds the rest.  Take a node outside the band;
     depth is 1-Lipschitz.  Every point within 2 h_lat / sqrt(3) of it (the
     circumdisks of its six elementary triangles) is deeper than
     (B - 2 / sqrt(3)) h_lat > 0, so is a lattice node, and no lattice node
@@ -238,21 +254,17 @@ def _stitch(points: np.ndarray, first: int, h_lat: float, depth: np.ndarray,
     h_lat / 2, where both depth tests are decided by roundoff.
 
     The triangles with all three nodes in the band are those of the band's
-    Delaunay whose circumdisk holds no node outside the band.  A circumdisk
-    whose centre depth plus radius stays below the band depth holds none;
-    that decides most band triangles without a query.  For the rest (the
-    slivers beside short facets and the long triangles across the hole)
-    the nearest node outside the band decides.
+    Delaunay whose circumdisk holds no node outside the band: a band
+    triangle is kept when the nearest node outside the band is at least
+    its circumradius from its circumcentre.
     """
-    outside = np.concatenate([np.zeros(first, dtype=bool), depth > _BAND_RINGS * h_lat])
     band = np.flatnonzero(~outside)
     tris = band[Delaunay(points[band]).simplices]
     centre, radius = _circumcircles(points, tris)
-    keep = polygon.distance_to_boundary(centre) + radius < _BAND_RINGS * h_lat
-    unsure = np.flatnonzero(~keep)
-    nearest, _ = cKDTree(points[outside]).query(centre[unsure])
-    keep[unsure] = nearest >= radius[unsure]
-    return np.vstack([_orient(points, tris[keep]), _lattice_triangles(index, first, outside)])
+    nearest, _ = cKDTree(points[outside]).query(centre)
+    tris = tris[nearest >= radius]
+    first = len(points) - len(index)
+    return np.vstack([_orient(points, tris), _lattice_triangles(index, first, outside)])
 
 
 def _circumcircles(points: np.ndarray, triangles: np.ndarray):
@@ -306,12 +318,10 @@ def triangulate(p: Polygon, target_h: float) -> TriMesh:
     frame = Polygon((p.vertices - corner) / unit)
     bpts, bfacets = _boundary_samples(frame, target_h / (2.0 * unit))
     h_lat = 0.85 * target_h / unit
-    lattice, depth, index = _hex_lattice(frame, h_lat)
     nb = len(bpts)
-    if nb + len(lattice) > NODE_CAP:
-        raise MeshTooFine(f"mesh would need {nb + len(lattice)} nodes (cap {NODE_CAP})")
+    lattice, deep, index = _hex_lattice(frame, h_lat, NODE_CAP - nb)
     points = np.vstack([bpts, lattice])
-    triangles = _stitch(points, nb, h_lat, depth, index, frame)
+    triangles = _stitch(points, np.concatenate([np.zeros(nb, dtype=bool), deep]), index)
     edges = np.column_stack([np.arange(nb), (np.arange(nb) + 1) % nb])
     lengths = unit * np.hypot(*(points[edges[:, 1]] - points[edges[:, 0]]).T)
     mesh = TriMesh(corner + unit * points, triangles, edges, bfacets, lengths, target_h, p)

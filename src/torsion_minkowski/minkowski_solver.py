@@ -28,6 +28,13 @@ the coarse mesh stage into the fine one.  Until the first pair, and
 whenever -H grad J is not a descent direction, the step follows -grad J.
 A pair without positive curvature (s . y <= 0) leaves H unchanged.
 
+The descent runs in two stages, on meshes COARSE_MESH_FACTOR times
+coarser than ``mesh_h`` and then at ``mesh_h``.  Every stage ends by one
+rule: the l1 residual falls to the stage's bar (max(3 tol, 0.03) when
+coarse, tol when fine), or the line search stalls.  The coarse stage
+hands its iterate and H to the fine one; the fine stage's end is the
+solve's.
+
 Each accepted iterate is recentred so its Steiner point sits at the
 origin, removing the translation null direction a balanced target
 induces.  A translation changes neither J nor its gradient, so the
@@ -250,27 +257,32 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     J(h + step d) <= J(h) + 5e-5 step (d . grad J) holds.  The accepted
     step's secant pair updates H; a pair with s . y <= 0 is skipped.
 
+    A line search runs from every iterate whose l1 residual is above its
+    stage's bar (see the module docstring); a stage ends at an iterate at
+    or below the bar, or when the search stalls.  The end of the coarse
+    stage re-evaluates its iterate on the fine mesh.
+
     The report is the last fine-stage evaluation, dilated in closed form;
     only the loop decides ``converged``.  ``diagnostics["stop_reason"]``
-    names how the loop ended: ``residual`` (converged),
-    ``line_search_stall``, ``iteration_cap`` or ``bounds_escape``.  The
-    last two raise NoConvergence with the partial report attached; an
-    iterate escapes when it leaves the a-priori size bounds derived from
-    the first iterate.  A log row counts the halvings (``backtracks``) and
-    swallowed EmptyInterior errors (``empty_interior``) of its line search
-    and names its ``direction``: ``"bfgs"``, or ``"gradient"`` for the
-    -grad J fallback (``None`` on a row that ran no line search).
+    names how the loop ended: ``residual`` (converged: the fine residual
+    at its bar), ``line_search_stall``, ``iteration_cap`` or
+    ``bounds_escape``.  The last two raise NoConvergence with the partial
+    report attached; an iterate escapes when it leaves the a-priori size
+    bounds derived from the first iterate.  A log row counts the halvings
+    (``backtracks``) and swallowed EmptyInterior errors
+    (``empty_interior``) of its line search and names its ``direction``:
+    ``"bfgs"``, or ``"gradient"`` for the -grad J fallback (``None`` on a
+    row that ran no line search).
     ``diagnostics["objective_calls"]`` counts the objective evaluations.
     """
     opts = opts or SolveOptions()
-    c = target.weights
     h = SupportSpec(target.normals,
                     np.ones(len(target)) if opts.init_values is None
                     else np.asarray(opts.init_values, dtype=float))
     h = h.translated(-steiner_point(build_polytope(h)))
 
     stage_scale = COARSE_MESH_FACTOR
-    coarse_gate = max(3.0 * opts.tol, 0.03)
+    coarse_bar = max(3.0 * opts.tol, 0.03)
     log: list[dict] = []
     bounds = None
     H = None  # inverse-Hessian approximation, set at the first secant pair
@@ -291,16 +303,9 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
                        f"circumradius {m.circumradius:.3g})")
             break
         g = ev.grad_J
-        gnorm = float(np.linalg.norm(g))
-        gtol = opts.tol * ev.tau ** (-0.25) * float(np.linalg.norm(c))
         at_fine = stage_scale == 1.0
-        # Stop on the l1 residual the report is judged by, not an l2 gradient test.
-        if at_fine and ev.residual <= opts.tol:
-            stop = "residual"
-            break
-        gate_met = not at_fine and (ev.residual <= coarse_gate or gnorm <= 3.0 * gtol)
         accepted = None
-        if not gate_met:
+        if ev.residual > (opts.tol if at_fine else coarse_bar):
             direction = -g if H is None else -H @ g
             kind = "gradient" if H is None else "bfgs"
             if direction @ g >= 0:  # -H g is no descent direction
@@ -330,10 +335,10 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
             h, ev = accepted
             H = _bfgs_update(H, step * direction, ev.grad_J - g)
             h = h.translated(-steiner_point(ev.polygon))
-        elif at_fine:  # line search stalled at the discretization floor
-            stop = "line_search_stall"
+        elif at_fine:  # residual at the bar, or a stall at the discretization floor
+            stop = "residual" if ev.residual <= opts.tol else "line_search_stall"
             break
-        else:  # coarse gate met or coarse line search stalled: go fine
+        else:  # coarse residual at its bar, or a coarse stall: go fine
             stage_scale = 1.0
             calls += 1
             ev = _eval(h, target, opts, stage_scale)

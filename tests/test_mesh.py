@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
@@ -104,6 +106,20 @@ def test_node_cap(square, monkeypatch):
         refine(m)
 
 
+def test_refused_mesh_memory_is_bounded_by_the_cap(square, monkeypatch):
+    # the lattice is built in row blocks and refused as soon as the cap is
+    # passed; building it whole first took 27 MB on this input (258k points)
+    monkeypatch.setattr(mesh_module, "NODE_CAP", 4000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MeshTooFine):
+            triangulate(square, 0.005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 250 * mesh_module.NODE_CAP
+
+
 def test_corpus_meshes_pass_checker():
     for k, p in enumerate(polygon_corpus(seed=123, count=8)):
         h = 0.03 * metrics(p).circumradius
@@ -187,7 +203,7 @@ def _reference_points(p, target_h):
     corner, unit = _lattice_frame(p)
     frame = Polygon((p.vertices - corner) / unit)
     bpts, _ = mesh_module._boundary_samples(frame, target_h / (2.0 * unit))
-    lattice = mesh_module._hex_lattice(frame, 0.85 * target_h / unit)[0]
+    lattice = mesh_module._hex_lattice(frame, 0.85 * target_h / unit, mesh_module.NODE_CAP)[0]
     return corner + unit * np.vstack([bpts, lattice])
 
 
@@ -209,8 +225,10 @@ def test_band_stitching_matches_full_delaunay(rel):
               for p in polygon_corpus(seed=42, count=3)]
     bodies.append(Polygon.from_vertices(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                                                   [0.0, 1.0]])))
-    if rel >= 0.02:
-        bodies.append(regular_polygon(64))
+    bodies.append(regular_polygon(64))
+    # short facets leave 0.70-17 degree slivers that the emptiness test decides
+    corpus = polygon_corpus(seed=123, count=50)
+    bodies += [corpus[1], corpus[36]]
     if rel == 0.02:
         bodies.append(_sliver_sum())
     for p in bodies:
@@ -223,16 +241,23 @@ def test_band_stitching_matches_full_delaunay(rel):
 
 
 def test_triangulate_runs_no_full_delaunay(monkeypatch, square):
-    calls = []
+    calls, depth_calls = [], []
+    depth = Polygon.distance_to_boundary
 
     def counting_delaunay(points):
         calls.append(points.copy())
         return Delaunay(points)
 
+    def counting_depth(self, points):
+        depth_calls.append(len(points))
+        return depth(self, points)
+
     monkeypatch.setattr(mesh_module, "Delaunay", counting_delaunay)
+    monkeypatch.setattr(Polygon, "distance_to_boundary", counting_depth)
     disk = regular_polygon(64)
     m = triangulate(disk, 0.02)
     assert len(calls) == 1
+    assert len(depth_calls) == 1  # the lattice's depths; the band needs none
     assert len(calls[0]) < m.n_nodes
     # the band's final nodes, in the lattice frame
     corner, unit = _lattice_frame(disk)

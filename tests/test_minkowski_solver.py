@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,25 @@ def test_fine_stage_stops_on_the_l1_residual():
     rep = solve_minkowski(target, SolveOptions(tol=0.02))
     assert rep.converged
     assert rep.residual_history[-1] <= 0.02
+
+
+def test_coarse_stage_ends_on_the_l1_residual_alone(monkeypatch, square_target):
+    # The first evaluation's residual is raised to 0.05, above the coarse
+    # bar of 0.03, while |grad J| stays at 0.07 of the bar of the l2 test
+    # that used to end the coarse stage too: a line search must still run.
+    calls = {"n": 0}
+    evaluate = minkowski_solver._eval
+
+    def first_residual_raised(*args, **kwargs):
+        calls["n"] += 1
+        ev = evaluate(*args, **kwargs)
+        return dataclasses.replace(ev, residual=0.05) if calls["n"] == 1 else ev
+
+    monkeypatch.setattr(minkowski_solver, "_eval", first_residual_raised)
+    rep = solve_minkowski(square_target, SolveOptions())
+    assert rep.diagnostics["iterations_log"][0]["direction"] == "gradient"
+    assert rep.converged
+    assert rep.diagnostics["stop_reason"] == "residual"
 
 
 def test_each_evaluation_computes_one_inradius(monkeypatch):
