@@ -57,10 +57,8 @@ class SurfaceMeasure:
         weights = np.ascontiguousarray(self.weights, dtype=float)
         if weights.shape != (len(normals),):
             raise InvariantViolation("one weight per normal required")
-        floor = -1e-12 * weights.max(initial=0.0)
-        if not np.all(np.isfinite(weights) & (weights >= floor)):  # NaN fails too
+        if not np.all(np.isfinite(weights) & (weights >= 0.0)):  # NaN fails too
             raise InvariantViolation("measure weights must be finite and nonnegative")
-        weights = np.clip(weights, 0.0, None)
         normals.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "normals", normals)

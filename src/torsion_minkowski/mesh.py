@@ -42,7 +42,7 @@ MIN_ANGLE_DEG = 20.0  # smallest triangle angle check_mesh accepts
 LOCATE_CANDIDATES = 16  # nearest triangle centroids tried before a full scan
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriMesh:
     """Triangulation of a convex polygon.
 
@@ -54,8 +54,9 @@ class TriMesh:
     of the undirected edges (see ``_edge_key``), and
     ``triangle_edges[t, k]`` is the index in ``edges`` of the edge of
     triangle t opposite its node k.  The conformity check, ``refine`` and
-    the stiffness assembly read it.  ``refine`` passes its child's table,
-    which follows from the parent's; otherwise construction computes it.
+    the stiffness assembly read it.  Both constructors pass it:
+    ``triangulate`` builds it from the triangles (``_edge_table``), and
+    ``refine`` from the parent's table (``_child_edges``).
     """
 
     nodes: np.ndarray
@@ -65,17 +66,8 @@ class TriMesh:
     boundary_edge_lengths: np.ndarray
     target_h: float
     polygon: Polygon
-    edges: np.ndarray | None = field(default=None, repr=False, compare=False)
-    triangle_edges: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _tree: cKDTree | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.edges is None:
-            t = self.triangles
-            keys = _edge_key(np.roll(t, -1, axis=1), np.roll(t, -2, axis=1), self.n_nodes)
-            # ravelled: the shape of the inverse of an n-d input differs across numpy 2.x
-            self.edges, inverse = np.unique(keys.ravel(), return_inverse=True)
-            self.triangle_edges = inverse.reshape(t.shape)
+    edges: np.ndarray = field(repr=False, compare=False)
+    triangle_edges: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -112,17 +104,12 @@ class TriMesh:
     def _locate(self, points):
         """Containing triangle (-1 outside) and barycentric weights per point.
 
-        Candidate triangles come from a KD-tree over centroids; points the
-        candidates miss fall back to a full scan.
+        Candidate triangles come from a KD-tree over centroids, built per
+        call; points the candidates miss fall back to a full scan.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._tree is None:
-            cent = self.nodes[self.triangles].mean(axis=1)
-            self._tree = cKDTree(cent)
-        _, cand = self._tree.query(pts, k=min(LOCATE_CANDIDATES, self.n_triangles))
-        cand = np.atleast_2d(cand)
-        if cand.shape[0] != len(pts):
-            cand = cand.T
+        tree = cKDTree(self.nodes[self.triangles].mean(axis=1))
+        _, cand = tree.query(pts, k=range(1, min(LOCATE_CANDIDATES, self.n_triangles) + 1))
         out = np.full(len(pts), -1, dtype=int)
         weights = np.zeros((len(pts), 3))
         remaining = np.arange(len(pts))
@@ -324,7 +311,8 @@ def triangulate(p: Polygon, target_h: float) -> TriMesh:
     triangles = _stitch(points, np.concatenate([np.zeros(nb, dtype=bool), deep]), index)
     edges = np.column_stack([np.arange(nb), (np.arange(nb) + 1) % nb])
     lengths = unit * np.hypot(*(points[edges[:, 1]] - points[edges[:, 0]]).T)
-    mesh = TriMesh(corner + unit * points, triangles, edges, bfacets, lengths, target_h, p)
+    mesh = TriMesh(corner + unit * points, triangles, edges, bfacets, lengths, target_h, p,
+                   *_edge_table(triangles, len(points)))
     _assert_conforming(mesh)
     return mesh
 
@@ -339,6 +327,15 @@ def _orient(nodes: np.ndarray, simplices: np.ndarray) -> np.ndarray:
 def _edge_key(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     """Integer key min*n + max of each undirected edge of an n-node mesh."""
     return np.minimum(i, j).astype(np.int64) * n + np.maximum(i, j)
+
+
+def _edge_table(triangles: np.ndarray, n: int):
+    """``(edges, triangle_edges)`` of an n-node mesh with these triangles
+    (see ``TriMesh``)."""
+    keys = _edge_key(np.roll(triangles, -1, axis=1), np.roll(triangles, -2, axis=1), n)
+    # ravelled: the shape of the inverse of an n-d input differs across numpy 2.x
+    edges, inverse = np.unique(keys.ravel(), return_inverse=True)
+    return edges, inverse.reshape(triangles.shape)
 
 
 def _assert_conforming(mesh: TriMesh) -> None:

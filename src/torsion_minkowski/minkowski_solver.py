@@ -201,7 +201,7 @@ def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float) -> Objective
                          fld.cg_iterations)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
     """Inverse-solver knobs.
 
@@ -219,7 +219,7 @@ class SolveOptions:
             raise InvariantViolation("mesh_h, tol and max_iters must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     h_final: SupportSpec
     polygon: Polygon

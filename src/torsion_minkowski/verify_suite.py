@@ -51,7 +51,7 @@ CORPUS_SIZE = 50  # bodies in the run_verify_corpus battery
 CONTINUITY_NOTE = "budget modulus tied to the mesh resolution, not a proven modulus of continuity"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
     name: str
     trials: int
@@ -238,35 +238,32 @@ def homogeneity_check(p: Polygon, scales, mesh_h: float = REL_MESH_H) -> CheckRe
 
 def run_verify_corpus(seed: int = 42, mesh_h: float = REL_MESH_H) -> list[CheckReport]:
     """Run all three checks over a seeded corpus of ``CORPUS_SIZE`` bodies
-    and merge the reports.
+    and merge each check's reports into one.
 
     Brunn-Minkowski runs at t = 0.5 on consecutive corpus pairs;
     continuity perturbs each member once at 2% of its inradius;
-    homogeneity dilates each member by 2.  Reports are merged
-    deterministically in corpus order.
+    homogeneity dilates each member by 2.  A merged report sums the
+    trials and failures, keeps the worst margin (the smallest for
+    Brunn-Minkowski, the largest otherwise) and lists the details in
+    corpus order, each tagged with its ``corpus_index``.
     """
     corpus = polygon_corpus(seed, CORPUS_SIZE)
-    bm = CheckReport("brunn_minkowski", 0, 0, np.inf, [])
-    cont = CheckReport("continuity", 0, 0, 0.0, [], note=CONTINUITY_NOTE)
-    homo = CheckReport("homogeneity", 0, 0, 0.0, [])
+    bm, cont, homo = [], [], []
     for k, p in enumerate(corpus):
-        r_h = homogeneity_check(p, [2.0], mesh_h)
-        _merge(homo, r_h, k, smallest=False)
-        r_c = continuity_check(p, 0.02 * metrics(p).inradius, 1, mesh_h,
-                               rng_seed=seed + k)
-        _merge(cont, r_c, k, smallest=False)
+        homo.append((k, homogeneity_check(p, [2.0], mesh_h)))
+        cont.append((k, continuity_check(p, 0.02 * metrics(p).inradius, 1, mesh_h,
+                                         rng_seed=seed + k)))
         if k % 2 == 1:
-            r_b = brunn_minkowski_check(corpus[k - 1], p, [0.5], mesh_h)
-            _merge(bm, r_b, k, smallest=True)
-    return [bm, cont, homo]
+            bm.append((k, brunn_minkowski_check(corpus[k - 1], p, [0.5], mesh_h)))
+    return [_merged("brunn_minkowski", bm, min),
+            _merged("continuity", cont, max, CONTINUITY_NOTE),
+            _merged("homogeneity", homo, max)]
 
 
-def _merge(acc: CheckReport, part: CheckReport, index: int, smallest: bool) -> None:
-    acc.trials += part.trials
-    acc.failures += part.failures
-    if smallest:
-        acc.worst_margin = float(min(acc.worst_margin, part.worst_margin))
-    else:
-        acc.worst_margin = float(max(acc.worst_margin, part.worst_margin))
-    for d in part.details:
-        acc.details.append({"corpus_index": index, **d})
+def _merged(name: str, parts: list, worst, note: str = "") -> CheckReport:
+    """One report from ``(corpus index, report)`` pairs; ``worst`` picks the
+    worst margin."""
+    reports = [r for _, r in parts]
+    return CheckReport(name, sum(r.trials for r in reports), sum(r.failures for r in reports),
+                       float(worst(r.worst_margin for r in reports)),
+                       [{"corpus_index": k, **d} for k, r in parts for d in r.details], note)

@@ -132,7 +132,7 @@ def test_attribution_requires_built_polygon(disk_field, axis_spec):
 
 def test_surface_measure_validation():
     normals = np.array([[1.0, 0.0], [0.0, 1.0]])
-    for bad in (-1.0, np.nan, np.inf):
+    for bad in (-1.0, -1e-13, np.nan, np.inf):
         with pytest.raises(InvariantViolation, match="finite and nonnegative"):
             SurfaceMeasure(normals, np.array([bad, 1.0]))
     lopsided = SurfaceMeasure(normals, np.array([1.0, 1.0]))

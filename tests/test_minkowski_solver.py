@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from torsion_minkowski import (
     translate,
     uniqueness_probe,
 )
+import torsion_minkowski
 from torsion_minkowski import minkowski_solver, support_geometry
 from torsion_minkowski.verify_suite import polygon_corpus
 from conftest import SQUARE_COEFF, corpus_measure_target
@@ -458,6 +461,29 @@ def test_option_validation(square_target):
         uniqueness_probe(square_target, seeds=[])
     with pytest.raises(InvariantViolation, match="seed"):
         uniqueness_probe(square_target, seeds=[-1])
+
+
+def test_every_package_dataclass_is_frozen():
+    # results are values: nothing the package returns or takes as options
+    # can be changed after its constructor has checked it
+    mutable = []
+    for info in pkgutil.iter_modules(torsion_minkowski.__path__):
+        module = importlib.import_module(f"torsion_minkowski.{info.name}")
+        for name, obj in vars(module).items():
+            if (dataclasses.is_dataclass(obj) and isinstance(obj, type)
+                    and obj.__module__ == module.__name__
+                    and not obj.__dataclass_params__.frozen):
+                mutable.append(f"{info.name}.{name}")
+    assert mutable == []
+
+
+def test_options_cannot_bypass_their_validation():
+    opts = SolveOptions(max_iters=6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opts.tol = -1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opts.max_iters = 0
+    assert (opts.tol, opts.max_iters) == (SolveOptions().tol, 6)
 
 
 def test_uniqueness_probe_two_seeds(square_target):
