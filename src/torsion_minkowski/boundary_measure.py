@@ -30,6 +30,7 @@ from .mesh import triangulate
 from .support_geometry import (
     Polygon,
     SupportSpec,
+    _own,
     build_polytope,
     minkowski_sum,
     scale,
@@ -46,23 +47,21 @@ class SurfaceMeasure:
 
     ``normals`` are unit directions, index-aligned with the generating
     support spec when one is supplied; weights are nonnegative and carry
-    length-cubed units in the plane.
+    length-cubed units in the plane.  Both arrays are read-only copies of
+    the constructor's arguments.
     """
 
     normals: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        normals = np.ascontiguousarray(self.normals, dtype=float)
-        weights = np.ascontiguousarray(self.weights, dtype=float)
+        normals = np.asarray(self.normals, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
         if weights.shape != (len(normals),):
             raise InvariantViolation("one weight per normal required")
         if not np.all(np.isfinite(weights) & (weights >= 0.0)):  # NaN fails too
             raise InvariantViolation("measure weights must be finite and nonnegative")
-        normals.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "weights", weights)
+        _own(self, normals=normals, weights=weights)
 
     @property
     def total_mass(self) -> float:
@@ -185,6 +184,10 @@ class HadamardReport:
     extrapolated_quotient: float
     extrapolated_mismatch: float
     cg_iterations: tuple[int, ...]  # refined solves: the body, then each s
+
+    def __post_init__(self):
+        _own(self, s_values=self.s_values, fd_quotients=self.fd_quotients,
+             mismatches=self.mismatches)
 
     @property
     def monotone_tail(self) -> bool:

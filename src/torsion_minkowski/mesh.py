@@ -30,7 +30,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import InvariantViolation, MeshTooFine, PointOutside
-from .support_geometry import Polygon, metrics
+from .support_geometry import Polygon, _own, metrics
 
 NODE_CAP = 2_000_000  # triangulate and refine raise MeshTooFine above this
 REL_MESH_H = 0.02  # default spacing relative to a body's circumradius (solver, verify checks, CLI)
@@ -57,6 +57,10 @@ class TriMesh:
     the stiffness assembly read it.  Both constructors pass it:
     ``triangulate`` builds it from the triangles (``_edge_table``), and
     ``refine`` from the parent's table (``_child_edges``).
+
+    Every array is a read-only copy of the constructor's argument, so
+    nothing can move a node or a triangle under the edge table, the
+    conformity check or a field solved on the mesh.
     """
 
     nodes: np.ndarray
@@ -68,6 +72,11 @@ class TriMesh:
     polygon: Polygon
     edges: np.ndarray = field(repr=False, compare=False)
     triangle_edges: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        _own(self, nodes=self.nodes, triangles=self.triangles, boundary_edges=self.boundary_edges,
+             boundary_facets=self.boundary_facets, edges=self.edges,
+             boundary_edge_lengths=self.boundary_edge_lengths, triangle_edges=self.triangle_edges)
 
     @property
     def n_nodes(self) -> int:
@@ -173,18 +182,20 @@ def _boundary_samples(p: Polygon, spacing: float):
     the body's extent.
 
     Returns the stacked points and, per consecutive pair, the facet index.
+    The samples are counted before any is built: MeshTooFine is raised
+    when there would be more than NODE_CAP of them.
     """
-    pts, facets = [], []
-    for i in range(len(p)):
-        a = p.vertices[i]
-        b = p.vertices[(i + 1) % len(p)]
-        length = p.facet_lengths[i]
-        m = max(1, int(np.ceil(length / spacing - 1e-9)))
+    counts = np.maximum(1.0, np.ceil(p.facet_lengths / spacing - 1e-9))
+    if counts.sum() > NODE_CAP:
+        raise MeshTooFine(f"{counts.sum():.3g} boundary samples exceed the node cap {NODE_CAP}")
+    counts = counts.astype(int)
+    pts = []
+    for i, m in enumerate(counts):
+        a, b = p.vertices[i], p.vertices[(i + 1) % len(p)]
         t = np.arange(m) / m
-        bulge = (4.0 * t * (1.0 - t) * 1e-12 * length)[:, None] * p.facet_normals[i]
+        bulge = (4.0 * t * (1.0 - t) * 1e-12 * p.facet_lengths[i])[:, None] * p.facet_normals[i]
         pts.append(a + t[:, None] * (b - a) + bulge)
-        facets.append(np.full(m, i))
-    return np.vstack(pts), np.concatenate(facets)
+    return np.vstack(pts), np.repeat(np.arange(len(p)), counts)
 
 
 def _hex_lattice(p: Polygon, h: float, cap: int):

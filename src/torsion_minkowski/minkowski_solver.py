@@ -59,8 +59,10 @@ from .mesh import REL_MESH_H, triangulate
 from .support_geometry import (
     Polygon,
     SupportSpec,
+    _check_count,
     _check_directions,
     _check_fan,
+    _own,
     build_polytope,
     hausdorff_distance,
     metrics,
@@ -80,21 +82,21 @@ UNIQUENESS_TOL = 0.03  # worst pairwise Hausdorff distance / circumradius allowe
 class TargetMeasure:
     """Minkowski-problem datum: positive weights on a spanning normal fan.
 
-    The first moment must vanish to 1e-9 relative; use
-    :func:`project_balance` to repair raw weights first.
+    The fan and the weight vector are checked as ``SupportSpec`` checks
+    its normals and values; the weights must also be positive, and their
+    first moment must vanish to 1e-9 relative (use
+    :func:`project_balance` to repair raw weights first).  Both arrays
+    are read-only copies of the constructor's arguments.
     """
 
     normals: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        probe = SupportSpec(self.normals, np.ones(len(np.atleast_2d(self.normals))))
-        weights = np.ascontiguousarray(self.weights, dtype=float)
-        if weights.shape != (len(probe),):
-            raise InvariantViolation("one weight per normal required")
-        if not np.all(np.isfinite(weights) & (weights > 0)):
-            raise InvariantViolation("target weights must be finite and strictly positive")
-        self._set_balanced(probe.normals, weights)
+        spec = SupportSpec(self.normals, self.weights)
+        if not np.all(spec.values > 0):
+            raise InvariantViolation("target weights must be strictly positive")
+        self._set_balanced(spec.normals, spec.values)
 
     @classmethod
     def _from_checked(cls, normals: np.ndarray, weights: np.ndarray) -> "TargetMeasure":
@@ -109,10 +111,7 @@ class TargetMeasure:
         if np.linalg.norm(moment) > 1e-9 * weights.sum():
             raise InvariantViolation(
                 "target measure is not balanced; run project_balance first")
-        normals.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "weights", weights)
+        _own(self, normals=normals, weights=weights)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -125,8 +124,7 @@ def project_balance(c_raw, normals) -> TargetMeasure:
     per normal.  Normals may arrive in any cyclic order; they are sorted
     by angle with the weights permuted along, and checked once, as
     ``SupportSpec`` checks them.  The perturbation is the minimum-norm
-    one; if it exceeds 5% of any weight, or positivity is lost, the datum
-    is rejected.
+    one; if it exceeds 5% of any weight, the datum is rejected.
     """
     normals = _check_directions(normals)
     c = np.asarray(c_raw, dtype=float)
@@ -145,8 +143,6 @@ def project_balance(c_raw, normals) -> TargetMeasure:
         raise UnbalanceableMeasure(
             f"balancing needs a {np.max(np.abs(delta) / c):.1%} weight change (budget 5%)")
     c_new = c + delta
-    if np.any(c_new <= 0):
-        raise UnbalanceableMeasure("balancing drives a weight non-positive")
     # kill the residual roundoff moment exactly
     moment2 = c_new @ X
     c_new = c_new - X @ np.linalg.solve(gram, moment2)
@@ -175,6 +171,9 @@ class ObjectiveEval:
     rep_residual: float
     nodes: int
     cg_iterations: int
+
+    def __post_init__(self):
+        _own(self, grad_J=self.grad_J)
 
 
 def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float) -> ObjectiveEval:
@@ -207,6 +206,7 @@ class SolveOptions:
 
     ``mesh_h`` is relative to the current iterate's circumradius, so the
     whole solve is equivariant under dilations of the target.
+    ``init_values``, when given, is a read-only copy of the start.
     """
 
     mesh_h: float = REL_MESH_H
@@ -215,8 +215,10 @@ class SolveOptions:
     init_values: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (self.mesh_h > 0 and self.tol > 0 and self.max_iters > 0):  # NaN fails too
-            raise InvariantViolation("mesh_h, tol and max_iters must be positive")
+        if not (0 < self.mesh_h < np.inf and 0 < self.tol < np.inf):  # NaN fails too
+            raise InvariantViolation("mesh_h and tol must be finite and positive")
+        _check_count("max_iters", self.max_iters, 1)
+        _own(self, init_values=self.init_values)
 
 
 @dataclass(frozen=True)
@@ -277,8 +279,7 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     """
     opts = opts or SolveOptions()
     h = SupportSpec(target.normals,
-                    np.ones(len(target)) if opts.init_values is None
-                    else np.asarray(opts.init_values, dtype=float))
+                    np.ones(len(target)) if opts.init_values is None else opts.init_values)
     h = h.translated(-steiner_point(build_polytope(h)))
 
     stage_scale = COARSE_MESH_FACTOR

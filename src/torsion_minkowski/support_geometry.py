@@ -53,7 +53,7 @@ def normal_angles(normals: np.ndarray) -> np.ndarray:
 
 
 def _check_directions(normals: np.ndarray) -> np.ndarray:
-    normals = np.ascontiguousarray(normals, dtype=float)
+    normals = np.asarray(normals, dtype=float)
     if normals.ndim != 2 or normals.shape[1] != 2 or len(normals) == 0:
         raise InvariantViolation("normals must be a nonempty (N, 2) array")
     norms = np.hypot(normals[:, 0], normals[:, 1])
@@ -96,6 +96,17 @@ def _check_count(name: str, value, least: int) -> None:
         raise InvariantViolation(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _own(value, **arrays) -> None:
+    """Set each named field of the frozen dataclass ``value`` to a
+    read-only copy of its array (``None`` stays ``None``), so a value
+    shares no buffer with its caller and cannot be edited through one."""
+    for name, array in arrays.items():
+        if array is not None:
+            array = np.array(array, order="C")
+            array.setflags(write=False)
+        object.__setattr__(value, name, array)
+
+
 @dataclass(frozen=True)
 class SupportSpec:
     """Support numbers on a fixed, angularly sorted set of unit normals.
@@ -112,21 +123,18 @@ class SupportSpec:
 
     def __post_init__(self):
         normals = _check_directions(self.normals)
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
         if values.shape != (len(normals),) or not np.all(np.isfinite(values)):
             raise InvariantViolation("values must be finite, one entry per normal")
         _check_fan(normals)
-        normals.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "values", values)
+        _own(self, normals=normals, values=values)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def with_values(self, values) -> "SupportSpec":
         """Same normal fan, new support numbers."""
-        return SupportSpec(self.normals, np.asarray(values, dtype=float))
+        return SupportSpec(self.normals, values)
 
     def translated(self, t) -> "SupportSpec":
         """Support numbers of the translated body B[h] + t."""
@@ -158,7 +166,7 @@ class Polygon:
     _metrics: PolygonMetrics | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.vertices, dtype=float)
+        v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise InvariantViolation("a polygon needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
@@ -182,19 +190,12 @@ class Polygon:
         offsets = np.einsum("ij,ij->i", normals, v)
         src = self.source_index
         if src is not None:
-            src = np.ascontiguousarray(src, dtype=int)
+            src = np.asarray(src, dtype=int)
             if src.shape != (len(v),):
                 raise InvariantViolation("source_index must map every facet")
-            src.setflags(write=False)
-        for arr in (v, normals, lengths, centroid, offsets):
-            arr.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "facet_normals", normals)
-        object.__setattr__(self, "facet_lengths", lengths)
+        _own(self, vertices=v, facet_normals=normals, facet_lengths=lengths,
+             centroid=centroid, offsets=offsets, source_index=src)
         object.__setattr__(self, "area", area)
-        object.__setattr__(self, "centroid", centroid)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "source_index", src)
 
     @classmethod
     def from_vertices(cls, vertices, source_index=None) -> "Polygon":

@@ -46,7 +46,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import LinearSolveFailure, MaximumPrincipleViolation, PointOutside
 from .mesh import TriMesh, _p1_basis, refine, triangulate
-from .support_geometry import Polygon, _check_count, seeded_rng
+from .support_geometry import Polygon, _check_count, _own, seeded_rng
 
 LINEAR_TOL = 1e-10  # relative CG residual tolerance
 # The most iterations measured is 16, over 545 solves: 109 bodies (two
@@ -73,6 +73,8 @@ class TorsionField:
     ``levels`` counts the multigrid levels above the coarsest, and
     ``operator_complexity`` is the stored-entry count of all level
     operators, the coarsest included, over that of the interior system.
+    ``u`` and ``reaction`` are read-only copies of the constructor's
+    arguments.
     """
 
     mesh: TriMesh
@@ -84,6 +86,9 @@ class TorsionField:
     cg_iterations: int
     levels: int
     operator_complexity: float
+
+    def __post_init__(self):
+        _own(self, u=self.u, reaction=self.reaction)
 
     def triangle_gradients(self) -> np.ndarray:
         """Piecewise-constant gradient of u, one row per triangle."""

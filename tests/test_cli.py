@@ -79,12 +79,19 @@ def test_parse_rejects_malformed_payloads(tmp_path, capsys):
         ("no_verts.json", json.dumps({"vertices": []})),
         ("flat_verts.json", json.dumps({"vertices": [1, 2, 3]})),
         ("broken.json", "{not json"),
+        ("no_kind.json", json.dumps({"area": 1.0})),
+        ("no_normals.json", json.dumps({"weights": [1, 1, 1, 1]})),
     ]
     for name, text in cases:
         path = tmp_path / name
         path.write_text(text)
         assert main(["torsion", "--input", str(path)]) == 1, name
     capsys.readouterr()
+    path = tmp_path / "list_options.json"
+    path.write_text(json.dumps({"angles_deg": [0, 90, 180, 270], "weights": [0.28113] * 4,
+                                "options": [0.03]}))
+    assert main(["solve", "--input", str(path)]) == 1
+    assert "'options' must be an object" in capsys.readouterr().err
 
 
 def test_hadamard_rejects_bad_bodies(tmp_path, capsys):
@@ -263,6 +270,19 @@ def test_solve_non_convergence_exit_code(tmp_path, capsys):
     assert "iteration_cap" in capsys.readouterr().err
 
 
+def test_solve_stall_warns_and_writes_the_report_to_stdout(tmp_path, capsys):
+    # a 1e-4 residual lies below this rectangle's discretization floor
+    path = tmp_path / "rectangle.json"
+    path.write_text(json.dumps({"angles_deg": [0, 90, 180, 270],
+                                "weights": [0.2, 0.6, 0.2, 0.6]}))
+    assert main(["solve", "--input", str(path), "--tol", "1e-4"]) == 3
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["converged"] is False
+    assert payload["diagnostics"]["stop_reason"] == "line_search_stall"
+    assert err.startswith("warning: solve did not converge: line_search_stall"), err
+
+
 def test_solve_log_determinism(square_target_file, tmp_path):
     logs = []
     for k in range(2):
@@ -368,8 +388,9 @@ NUMERIC_FLAG_CASES = [
     for command, flag in [("torsion", "--mesh-h"), ("measure", "--mesh-h"),
                           ("hadamard", "--mesh-h"), ("verify", "--mesh-h"),
                           ("solve", "--mesh-h"), ("solve", "--tol"), ("solve", "--max-iters")]
-    for value in ("0", "-1", "nan")
-] + [("verify", "--seed", "-1"), ("verify", "--seed", "nan")]  # seed 0 is a valid corpus seed
+    for value in ("0", "-1", "nan", "inf")
+] + [("verify", "--seed", "-1"), ("verify", "--seed", "nan"),  # seed 0 is a valid corpus seed
+     ("torsion", "--mesh-h", "1e-300")]  # MeshTooFine before any boundary sample is built
 
 
 @pytest.mark.parametrize("command,flag,value", NUMERIC_FLAG_CASES)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -118,6 +119,31 @@ def test_refused_mesh_memory_is_bounded_by_the_cap(square, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 250 * mesh_module.NODE_CAP
+
+
+def test_boundary_samples_are_counted_before_they_are_built(unit_square, monkeypatch):
+    # 80,000 samples at spacing 5e-5; building them first peaked at several MB
+    monkeypatch.setattr(mesh_module, "NODE_CAP", 10_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MeshTooFine, match="boundary samples"):
+            triangulate(unit_square, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_nonconforming_triangles_are_caught(hexagon):
+    m = triangulate(hexagon, 0.2)
+    for triangles, needle in [(m.triangles[1:], "boundary does not match"),
+                              (np.vstack([m.triangles, m.triangles[:1]]), "non-manifold")]:
+        bad = dataclasses.replace(m, triangles=triangles,
+                                  **dict(zip(("edges", "triangle_edges"),
+                                             mesh_module._edge_table(triangles, m.n_nodes))))
+        with pytest.raises(InvariantViolation, match=needle):
+            mesh_module._assert_conforming(bad)
+        assert not check_mesh(bad).conforming
 
 
 def test_corpus_meshes_pass_checker():

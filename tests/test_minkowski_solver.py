@@ -31,6 +31,10 @@ from torsion_minkowski import (
 )
 import torsion_minkowski
 from torsion_minkowski import minkowski_solver, support_geometry
+from torsion_minkowski.boundary_measure import HadamardReport, SurfaceMeasure
+from torsion_minkowski.mesh import TriMesh, triangulate
+from torsion_minkowski.minkowski_solver import ObjectiveEval
+from torsion_minkowski.torsion_fem import TorsionField
 from torsion_minkowski.verify_suite import polygon_corpus
 from conftest import SQUARE_COEFF, corpus_measure_target
 
@@ -458,6 +462,14 @@ def test_option_validation(square_target):
     with pytest.raises(InvariantViolation):
         SolveOptions(tol=float("nan"))
     with pytest.raises(InvariantViolation):
+        SolveOptions(tol=float("inf"))
+    with pytest.raises(InvariantViolation):
+        SolveOptions(mesh_h=float("inf"))
+    with pytest.raises(InvariantViolation):
+        SolveOptions(max_iters=2.5)
+    with pytest.raises(InvariantViolation):
+        SolveOptions(max_iters=True)
+    with pytest.raises(InvariantViolation):
         uniqueness_probe(square_target, seeds=[])
     with pytest.raises(InvariantViolation, match="seed"):
         uniqueness_probe(square_target, seeds=[-1])
@@ -475,6 +487,79 @@ def test_every_package_dataclass_is_frozen():
                     and not obj.__dataclass_params__.frozen):
                 mutable.append(f"{info.name}.{name}")
     assert mutable == []
+
+
+def _owned_mesh():
+    m = triangulate(build_polytope(SupportSpec(AXIS_NORMALS, np.ones(4))), 0.5)
+    arrays = [np.array(a) for a in (m.nodes, m.triangles, m.boundary_edges, m.boundary_facets,
+                                    m.boundary_edge_lengths, m.edges, m.triangle_edges)]
+    nodes, triangles, b_edges, b_facets, b_lengths, edges, triangle_edges = arrays
+    return TriMesh(nodes, triangles, b_edges, b_facets, b_lengths, m.target_h, m.polygon,
+                   edges, triangle_edges), arrays
+
+
+def _owned_field():
+    mesh = _owned_mesh()[0]
+    u, reaction = np.ones(mesh.n_nodes), np.zeros(mesh.n_nodes)
+    return TorsionField(mesh, u, 1.0, 1.0, 0.0, reaction, 1, 0, 1.0), [u, reaction]
+
+
+def _owned_objective_eval():
+    grad = np.ones(4)
+    mu = SurfaceMeasure(AXIS_NORMALS, np.ones(4))
+    p = build_polytope(SupportSpec(AXIS_NORMALS, np.ones(4)))
+    return ObjectiveEval(1.0, grad, 1.0, mu, p, 4.0, 0.0, 0.0, 9, 1), [grad]
+
+
+def _owned(build, *arrays):
+    return lambda: (build(*arrays), list(arrays))
+
+
+# each value class that holds arrays, built from writeable arrays its caller
+# owns: a builder returning (instance, the caller's arrays)
+OWNERSHIP_CASES = {
+    SupportSpec: _owned(SupportSpec, AXIS_NORMALS.copy(), np.ones(4)),
+    Polygon: _owned(Polygon, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                    np.arange(4)),
+    SurfaceMeasure: _owned(SurfaceMeasure, AXIS_NORMALS.copy(), np.ones(4)),
+    TargetMeasure: _owned(TargetMeasure, AXIS_NORMALS.copy(), np.ones(4)),
+    SolveOptions: _owned(lambda start: SolveOptions(init_values=start), np.ones(4)),
+    TriMesh: _owned_mesh,
+    TorsionField: _owned_field,
+    ObjectiveEval: _owned_objective_eval,
+    HadamardReport: _owned(lambda s, q, m: HadamardReport(s, q, 1.0, m, 1.2, 0.01, (3, 3, 3)),
+                           np.array([0.02, 0.01]), np.array([1.0, 1.1]), np.array([0.1, 0.05])),
+}
+
+
+@pytest.mark.parametrize("cls", OWNERSHIP_CASES, ids=lambda cls: cls.__name__)
+def test_values_own_read_only_copies_of_their_arrays(cls):
+    value, inputs = OWNERSHIP_CASES[cls]()
+    assert type(value) is cls
+    findings = []
+    for f in dataclasses.fields(value):
+        array = getattr(value, f.name)
+        if not isinstance(array, np.ndarray):
+            continue
+        if array.flags.writeable:
+            findings.append(f"{f.name} is writeable")
+        if any(np.shares_memory(array, a) for a in inputs):
+            findings.append(f"{f.name} shares a caller's buffer")
+    findings += [f"input {k} was frozen" for k, a in enumerate(inputs) if not a.flags.writeable]
+    assert findings == []
+
+
+def test_every_array_holding_dataclass_has_an_ownership_case():
+    # a new value class with an array field cannot skip the rule unseen
+    missing = []
+    for info in pkgutil.iter_modules(torsion_minkowski.__path__):
+        module = importlib.import_module(f"torsion_minkowski.{info.name}")
+        for name, obj in vars(module).items():
+            if (dataclasses.is_dataclass(obj) and isinstance(obj, type)
+                    and obj.__module__ == module.__name__ and obj not in OWNERSHIP_CASES
+                    and any("np.ndarray" in str(f.type) for f in dataclasses.fields(obj))):
+                missing.append(f"{info.name}.{name}")
+    assert missing == []
 
 
 def test_options_cannot_bypass_their_validation():

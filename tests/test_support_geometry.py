@@ -517,6 +517,13 @@ def test_star_polygon_rejected():
         Polygon.from_vertices(angles_to_normals(theta))
 
 
+def test_from_vertices_merges_duplicate_vertices():
+    p = Polygon.from_vertices([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]],
+                              source_index=[3, 4, 5, 6, 7])
+    np.testing.assert_array_equal(p.vertices, [[0, 0], [1, 0], [1, 1], [0, 1]])
+    np.testing.assert_array_equal(p.source_index, [3, 5, 6, 7])
+
+
 def test_polygon_needs_three_vertices():
     with pytest.raises(InvariantViolation):
         Polygon.from_vertices([[0, 0], [1, 0]])
