@@ -64,7 +64,6 @@ from .torsion_fem import (
     ConcavityReport,
     TorsionField,
     check_sqrt_concavity,
-    gradient_at,
     solve_on_polygon,
     solve_torsion,
 )
@@ -77,68 +76,3 @@ from .verify_suite import (
     polygon_corpus,
     run_verify_corpus,
 )
-
-__all__ = [
-    "CheckReport",
-    "ConcavityReport",
-    "EmptyInterior",
-    "FacetAttributionMissing",
-    "HadamardReport",
-    "InvariantViolation",
-    "LinearSolveFailure",
-    "MaximumPrincipleViolation",
-    "MeshTooFine",
-    "NegativeScale",
-    "NoConvergence",
-    "ObjectiveEval",
-    "ParseError",
-    "PointOutside",
-    "Polygon",
-    "PolygonMetrics",
-    "SolveOptions",
-    "SolveReport",
-    "SupportSpec",
-    "SurfaceMeasure",
-    "TargetMeasure",
-    "TorsionField",
-    "TorsionMinkowskiError",
-    "TriMesh",
-    "UnbalanceableMeasure",
-    "UnboundedBody",
-    "UniquenessReport",
-    "angles_to_normals",
-    "boundary_flux",
-    "brunn_minkowski_check",
-    "build_polytope",
-    "check_mesh",
-    "check_sqrt_concavity",
-    "continuity_check",
-    "facet_measure",
-    "gradient_at",
-    "hadamard_fd_check",
-    "hausdorff_distance",
-    "homogeneity_check",
-    "is_homothetic",
-    "metrics",
-    "minkowski_sum",
-    "mixed_torsion",
-    "objective",
-    "polygon_corpus",
-    "polygon_to_dict",
-    "project_balance",
-    "refine",
-    "regular_polygon",
-    "representation_residual",
-    "run_verify_corpus",
-    "scale",
-    "solve_minkowski",
-    "solve_on_polygon",
-    "solve_torsion",
-    "steiner_point",
-    "support_spec_of",
-    "support_values",
-    "torsion_measure",
-    "translate",
-    "triangulate",
-    "uniqueness_probe",
-]

@@ -136,19 +136,10 @@ def torsion_measure(f: TorsionField, spec: SupportSpec,
     return SurfaceMeasure(spec.normals, weights).validate(budget)
 
 
-def mixed_torsion(mu: SurfaceMeasure, h_prime) -> float:
-    """Mixed rigidity pairing: sum of h'(X_i) * mu_i.
-
-    ``h_prime`` may be a Polygon (its exact support function is used) or
-    a callable mapping an (N, 2) direction array to support values.
-    """
-    if isinstance(h_prime, Polygon):
-        values = support_values(h_prime, mu.normals)
-    elif callable(h_prime):
-        values = np.asarray(h_prime(mu.normals), dtype=float)
-    else:
-        raise InvariantViolation("h_prime must be a Polygon or a callable on directions")
-    return float(values @ mu.weights)
+def mixed_torsion(mu: SurfaceMeasure, h_prime: Polygon) -> float:
+    """Mixed rigidity pairing: sum of h'(X_i) * mu_i, with h' the exact
+    support function of the polygon ``h_prime``."""
+    return float(support_values(h_prime, mu.normals) @ mu.weights)
 
 
 def representation_residual(f: TorsionField, spec: SupportSpec,

@@ -183,9 +183,12 @@ def _boundary_samples(p: Polygon, spacing: float):
 
     Returns the stacked points and, per consecutive pair, the facet index.
     The samples are counted before any is built: MeshTooFine is raised
-    when there would be more than NODE_CAP of them.
+    when there would be more than NODE_CAP of them; a spacing so small
+    that the quotient overflows, or underflows to 0, counts as infinitely
+    many.
     """
-    counts = np.maximum(1.0, np.ceil(p.facet_lengths / spacing - 1e-9))
+    with np.errstate(over="ignore", divide="ignore"):
+        counts = np.maximum(1.0, np.ceil(p.facet_lengths / spacing - 1e-9))
     if counts.sum() > NODE_CAP:
         raise MeshTooFine(f"{counts.sum():.3g} boundary samples exceed the node cap {NODE_CAP}")
     counts = counts.astype(int)

@@ -96,22 +96,10 @@ class TargetMeasure:
         spec = SupportSpec(self.normals, self.weights)
         if not np.all(spec.values > 0):
             raise InvariantViolation("target weights must be strictly positive")
-        self._set_balanced(spec.normals, spec.values)
-
-    @classmethod
-    def _from_checked(cls, normals: np.ndarray, weights: np.ndarray) -> "TargetMeasure":
-        """A target from a normal fan and positive weights that
-        ``project_balance`` has checked; only the balance is checked."""
-        target = cls.__new__(cls)
-        target._set_balanced(normals, weights)
-        return target
-
-    def _set_balanced(self, normals: np.ndarray, weights: np.ndarray) -> None:
-        moment = weights @ normals
-        if np.linalg.norm(moment) > 1e-9 * weights.sum():
+        if np.linalg.norm(spec.values @ spec.normals) > 1e-9 * spec.values.sum():
             raise InvariantViolation(
                 "target measure is not balanced; run project_balance first")
-        _own(self, normals=normals, weights=weights)
+        _own(self, normals=spec.normals, weights=spec.values)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -122,7 +110,7 @@ def project_balance(c_raw, normals) -> TargetMeasure:
 
     Raw weights are checked here: one finite, strictly positive weight
     per normal.  Normals may arrive in any cyclic order; they are sorted
-    by angle with the weights permuted along, and checked once, as
+    by angle with the weights permuted along, and checked as
     ``SupportSpec`` checks them.  The perturbation is the minimum-norm
     one; if it exceeds 5% of any weight, the datum is rejected.
     """
@@ -146,7 +134,7 @@ def project_balance(c_raw, normals) -> TargetMeasure:
     # kill the residual roundoff moment exactly
     moment2 = c_new @ X
     c_new = c_new - X @ np.linalg.solve(gram, moment2)
-    return TargetMeasure._from_checked(X, c_new)
+    return TargetMeasure(X, c_new)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,16 @@ Solves the Poisson problem with constant load 2 and zero boundary values
 on a triangulated convex polygon, and evaluates the torsional rigidity
 two ways: as the Dirichlet energy u . K u of the discrete solution and as
 twice its integral, the mass estimator u . load (the load vector holds
-each node's share of the integral of the constant 2).  The two agree up
-to the linear-solver tolerance (they are algebraically identical for a
-Galerkin solution), so their gap is an a-posteriori check on the linear
-algebra, reported on the field.  The field also keeps the nodal reaction
-K u - load, which is zero at interior nodes up to the solver tolerance and
-carries the boundary flux at boundary nodes.
+each node's share of the integral of the constant 2).  Their gap is no
+check on the linear algebra: CG started from zero keeps
+u . (K u - load) = 0 up to roundoff, since each iterate lies in the
+Krylov space its residual is orthogonal to, so the gap stays near 1e-15
+however far the residual is from the tolerance (from ``solve_nested``'s
+nonzero start it is a weak proxy at best).  The check is the residual
+test every solve ends with (``_field``); the mass estimator and the gap
+stay on the field because the benchmark reads the gap.  The field also
+keeps the nodal reaction K u - load, which is zero at interior nodes up
+to the solver tolerance and carries the boundary flux at boundary nodes.
 
 The interior system is solved by preconditioned conjugate gradients with
 the fixed settings ``LINEAR_TOL`` and ``MAX_CG_ITERS``.  The preconditioner
@@ -44,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import LinearSolveFailure, MaximumPrincipleViolation, PointOutside
+from .errors import LinearSolveFailure, MaximumPrincipleViolation
 from .mesh import TriMesh, _p1_basis, refine, triangulate
 from .support_geometry import Polygon, _check_count, _own, seeded_rng
 
@@ -70,6 +74,9 @@ class TorsionField:
     """Mesh, nodal solution, nodal reaction K u - load, rigidity values,
     CG iteration count and multigrid shape of one torsion solve.
 
+    ``tau_energy`` is the rigidity.  ``tau_mass`` and their relative gap
+    ``estimator_gap`` are kept for the benchmark only: the gap is
+    roundoff whatever the CG residual (see the module docstring).
     ``levels`` counts the multigrid levels above the coarsest, and
     ``operator_complexity`` is the stored-entry count of all level
     operators, the coarsest included, over that of the interior system.
@@ -329,15 +336,6 @@ def solve_nested(mesh: TriMesh) -> tuple[TorsionField, TorsionField]:
 def solve_on_polygon(p: Polygon, target_h: float) -> TorsionField:
     """Convenience wrapper: mesh the polygon at spacing target_h, then solve."""
     return solve_torsion(triangulate(p, target_h))
-
-
-def gradient_at(f: TorsionField, x) -> np.ndarray:
-    """Piecewise-constant gradient of the containing triangle."""
-    x = np.asarray(x, dtype=float)
-    tri_idx = f.mesh.locate(x[None, :])[0]
-    if tri_idx < 0:
-        raise PointOutside(f"point {x.tolist()} is outside the meshed polygon")
-    return f.triangle_gradients()[tri_idx]
 
 
 @dataclass(frozen=True)

@@ -77,9 +77,6 @@ class CheckReport:
             out["note"] = self.note
         return out
 
-    def csv_row(self) -> str:
-        return f"{self.name},{self.trials},{self.failures},{self.worst_margin:.6g}"
-
 
 def _random_polygon(rng: np.random.Generator, max_facets: int) -> Polygon:
     """Random convex polygon: random spanning fan, support numbers near 1.

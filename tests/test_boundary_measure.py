@@ -132,6 +132,8 @@ def test_attribution_requires_built_polygon(disk_field, axis_spec):
 
 def test_surface_measure_validation():
     normals = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvariantViolation, match="one weight per normal"):
+        SurfaceMeasure(normals, np.ones(3))
     for bad in (-1.0, -1e-13, np.nan, np.inf):
         with pytest.raises(InvariantViolation, match="finite and nonnegative"):
             SurfaceMeasure(normals, np.array([bad, 1.0]))
@@ -144,12 +146,6 @@ def test_surface_measure_validation():
 
 
 # --------------------------------------------------------- mixed rigidity
-
-
-def test_mixed_torsion_constant_support_is_mass(disk_field):
-    mu = facet_measure(disk_field)
-    tau1 = mixed_torsion(mu, lambda dirs: np.ones(len(dirs)))
-    assert tau1 == pytest.approx(mu.total_mass, rel=1e-12)
 
 
 def test_mixed_torsion_first_argument_homogeneity(square, square_field, hexagon):

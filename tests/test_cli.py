@@ -390,7 +390,9 @@ NUMERIC_FLAG_CASES = [
                           ("solve", "--mesh-h"), ("solve", "--tol"), ("solve", "--max-iters")]
     for value in ("0", "-1", "nan", "inf")
 ] + [("verify", "--seed", "-1"), ("verify", "--seed", "nan"),  # seed 0 is a valid corpus seed
-     ("torsion", "--mesh-h", "1e-300")]  # MeshTooFine before any boundary sample is built
+     ("torsion", "--mesh-h", "1e-300"),  # MeshTooFine before any boundary sample is built
+     ("torsion", "--mesh-h", "1e-310"),  # the sample count overflows
+     ("torsion", "--mesh-h", "1e-323")]  # the spacing underflows to 0
 
 
 @pytest.mark.parametrize("command,flag,value", NUMERIC_FLAG_CASES)

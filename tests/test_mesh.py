@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from torsion_minkowski import (
     InvariantViolation,
@@ -161,6 +161,21 @@ def test_locate_and_outside(square_mesh):
     assert square_mesh.locate(outside)[0] == -1
     with pytest.raises(PointOutside):
         square_mesh.barycentric(outside)
+
+
+def test_full_scan_finds_what_the_nearest_centroids_miss(monkeypatch):
+    rng = np.random.default_rng(5)
+    p = polygon_corpus(42, 1)[0]
+    m = triangulate(p, 0.05 * metrics(p).circumradius)
+    pick = rng.integers(m.n_triangles, size=300)
+    pts = np.einsum("ij,ijk->ik", rng.dirichlet(np.ones(3), size=300),
+                    m.nodes[m.triangles[pick]])
+    idx, w = m.barycentric(pts)
+    nearest = cKDTree(m.nodes[m.triangles].mean(axis=1)).query(pts)[1]
+    assert np.any(nearest != idx)  # with one candidate these points need the full scan
+    monkeypatch.setattr(mesh_module, "LOCATE_CANDIDATES", 1)
+    scan_idx, scan_w = m.barycentric(pts)
+    assert np.array_equal(scan_idx, idx) and np.array_equal(scan_w, w)
 
 
 def _cross(u, v):

@@ -61,24 +61,10 @@ def test_project_balance_keeps_balanced_data():
     tripod = angles_to_normals(np.deg2rad([-120.0, 0.0, 120.0]))
     tm3 = project_balance(np.ones(3), tripod)
     assert np.allclose(tm3.weights, 1.0, atol=1e-12)
-
-
-def test_project_balance_checks_the_normals_once(monkeypatch):
-    check, calls = support_geometry._check_directions, []
-
-    def counted(normals):
-        calls.append(normals)
-        return check(normals)
-
-    for module in (support_geometry, minkowski_solver):
-        monkeypatch.setattr(module, "_check_directions", counted)
-    weights = np.array([1.0, 1.01, 0.99, 1.0])
-    tm = project_balance(weights[::-1], AXIS_NORMALS[::-1])
-    assert len(calls) == 1
-    assert not tm.normals.flags.writeable and not tm.weights.flags.writeable
+    # reversed normals come back sorted, their weights permuted along and balanced
+    tm = project_balance(np.array([1.0, 1.01, 0.99, 1.0])[::-1], AXIS_NORMALS[::-1])
     assert np.array_equal(tm.normals, AXIS_NORMALS)
-    again = TargetMeasure(tm.normals, tm.weights)
-    assert np.array_equal(again.weights, tm.weights)
+    assert np.allclose(tm.weights, [0.995, 1.005, 0.995, 1.005], atol=1e-12)
 
 
 def test_project_balance_two_normals_rejected():
@@ -272,6 +258,13 @@ def test_non_descent_bfgs_direction_falls_back_to_the_gradient(monkeypatch):
     searched = [row["direction"] for row in rep.diagnostics["iterations_log"]
                 if row["direction"] is not None]
     assert len(searched) >= 2 and set(searched) == {"gradient"}
+
+
+@pytest.mark.parametrize("y", [[-1.0, 0.5], [0.0, 1.0]])
+def test_bfgs_update_skips_a_pair_without_positive_curvature(y):
+    s, y, H = np.array([1.0, 0.0]), np.array(y), np.eye(2)
+    assert minkowski_solver._bfgs_update(H, s, y) is H
+    assert minkowski_solver._bfgs_update(None, s, y) is None
 
 
 def stretched_measure_target(seed: int, max_facets: int, stretch: float) -> TargetMeasure:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -89,6 +90,18 @@ def test_near_parallel_normals_rejected():
     ang = np.array([0.0, 1e-10, np.pi / 2, np.pi, -np.pi / 2])
     with pytest.raises(InvariantViolation):
         SupportSpec(angles_to_normals(np.sort(ang)), np.ones(5))
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: SupportSpec(np.eye(3), np.ones(3)), r"\(N, 2\)"),
+    (lambda: SupportSpec(angles_to_normals(np.deg2rad([0, -90, 90, 180])), np.ones(4)),
+     "sorted"),
+    (lambda: Polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]), source_index=[0, 1, 2]),
+     "every facet"),
+])
+def test_malformed_arrays_rejected(build, match):
+    with pytest.raises(InvariantViolation, match=match):
+        build()
 
 
 def test_inactive_facet_absent_and_indexed():
@@ -412,14 +425,28 @@ def test_inradius_matches_exact_arithmetic_on_near_degenerate_bodies():
         assert abs(Fraction(metrics(p).inradius) - exact) <= 1e-15 * exact
 
 
-def test_package_import_leaves_scipy_optimize_unloaded():
-    # the child finds the package where this process did
+def _run_in_child(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that finds the package where
+    this process did; returns its stdout."""
     path = [str(Path(torsion_minkowski.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=120).stdout
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
     probe = "import sys, torsion_minkowski; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert _run_in_child(probe).strip() == "False"
+
+
+def test_readme_quick_start_runs():
+    # the quick start is the documented public API: its imports and its printed values
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)
+    tau, mass, h_final = _run_in_child(block.group(1)).splitlines()
+    assert float(tau) == pytest.approx(np.pi / 2, rel=0.01)
+    assert float(mass) == pytest.approx(2.0 * np.pi, rel=0.01)
+    assert np.allclose(np.array(h_final.strip("[]").split(), dtype=float), 0.5, atol=1e-3)
 
 
 # ------------------------------------------------------------ hausdorff

@@ -8,9 +8,7 @@ from scipy.sparse.linalg import spsolve
 from torsion_minkowski import (
     LinearSolveFailure,
     MaximumPrincipleViolation,
-    PointOutside,
     check_sqrt_concavity,
-    gradient_at,
     metrics,
     minkowski_sum,
     refine,
@@ -102,12 +100,13 @@ def test_boundary_values_zero(square_field):
     assert np.all(square_field.u[interior] > 0.0)
 
 
-def test_gradient_at_disk(disk_field):
-    assert np.hypot(*gradient_at(disk_field, np.array([0.0, 0.0]))) < 0.05
-    g = gradient_at(disk_field, np.array([0.5, 0.0]))
-    assert np.allclose(g, [-0.5, 0.0], atol=0.025)
-    with pytest.raises(PointOutside):
-        gradient_at(disk_field, np.array([2.0, 0.0]))
+def test_triangle_gradients_disk(disk_field):
+    # on the unit disk u = (1 - |x|^2) / 2, so grad u = -x
+    mesh = disk_field.mesh
+    c = mesh.nodes[mesh.triangles].mean(axis=1)
+    inner = np.hypot(*c.T) <= 0.9
+    error = np.hypot(*(disk_field.triangle_gradients() + c)[inner].T)
+    assert inner.sum() > 0.5 * mesh.n_triangles and error.max() <= 1e-3
 
 
 def test_gradient_bound(disk_field, square_field):
@@ -166,6 +165,19 @@ def test_non_finite_preconditioned_residual_raises(square, monkeypatch):
     monkeypatch.setattr(torsion_fem, "_vcycle", lambda levels, coarse, r: np.full_like(r, np.nan))
     with pytest.raises(LinearSolveFailure, match="non-finite"):
         solve_torsion(mesh)
+
+
+def test_residual_above_tolerance_raises(square, monkeypatch):
+    # a solution 0.1% off leaves a residual far above 10 LINEAR_TOL ||b||
+    pcg = torsion_fem._pcg
+
+    def spoiled(*args, **kwargs):
+        x, iterations = pcg(*args, **kwargs)
+        return 1.001 * x, iterations
+
+    monkeypatch.setattr(torsion_fem, "_pcg", spoiled)
+    with pytest.raises(LinearSolveFailure, match="above tolerance"):
+        solve_torsion(triangulate(square, 0.1))
 
 
 def test_negative_interior_value_raises(square, sink_load):
