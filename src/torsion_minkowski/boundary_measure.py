@@ -70,7 +70,7 @@ class SurfaceMeasure:
     @property
     def closure_defect(self) -> float:
         """|sum mu_i X_i| relative to the total mass."""
-        return float(np.linalg.norm(self.weights @ self.normals) / self.total_mass)
+        return float(np.hypot(*(self.weights @ self.normals)) / self.total_mass)
 
     def validate(self, budget: float = CLOSURE_BUDGET) -> "SurfaceMeasure":
         if not self.total_mass > 0.0:

@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-torsion   read a polygon, solve the torsion problem, report both rigidity
-          estimators and shape diagnostics
+torsion   read a polygon, solve the torsion problem, report the rigidity
+          and shape diagnostics
 measure   read a polygon, write its torsion measure
 solve     read a target-measure spec, run the inverse solver, write the
           solve report (and optionally a CSV convergence log)
@@ -186,8 +186,6 @@ def _cmd_torsion(args: dict) -> int:
     mesh = field.mesh
     _write_json({
         "tau_energy": field.tau_energy,
-        "tau_mass": field.tau_mass,
-        "estimator_gap": field.estimator_gap,
         "nodes": mesh.n_nodes,
         "triangles": mesh.n_triangles,
         "diagnostics": {

@@ -99,22 +99,12 @@ class TriMesh:
     def triangle_areas(self) -> np.ndarray:
         return 0.5 * _p1_basis(self.nodes, self.triangles)[0]
 
-    def locate(self, points) -> np.ndarray:
-        """Index of the triangle containing each query point (-1 outside)."""
-        return self._locate(points)[0]
-
     def barycentric(self, points):
-        """(triangle index, weights) for interior query points."""
-        tri_idx, weights = self._locate(points)
-        if np.any(tri_idx < 0):
-            raise PointOutside(f"{int((tri_idx < 0).sum())} query points outside the mesh")
-        return tri_idx, weights
-
-    def _locate(self, points):
-        """Containing triangle (-1 outside) and barycentric weights per point.
+        """(triangle index, weights) of each query point.
 
         Candidate triangles come from a KD-tree over centroids, built per
-        call; points the candidates miss fall back to a full scan.
+        call; points the candidates miss fall back to a full scan.  Raises
+        PointOutside, listing the indices of the points no triangle holds.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         tree = cKDTree(self.nodes[self.triangles].mean(axis=1))
@@ -136,6 +126,9 @@ class TriMesh:
             if len(hit):
                 out[row] = hit[0]
                 weights[row] = w[0]
+        missed = np.flatnonzero(out < 0)
+        if len(missed):
+            raise PointOutside(f"{len(missed)} query points outside the mesh: {missed.tolist()}")
         return out, weights
 
 
@@ -257,7 +250,8 @@ def _stitch(points: np.ndarray, outside: np.ndarray, index: np.ndarray) -> np.nd
     The triangles with all three nodes in the band are those of the band's
     Delaunay whose circumdisk holds no node outside the band: a band
     triangle is kept when the nearest node outside the band is at least
-    its circumradius from its circumcentre.
+    its circumradius from its circumcentre.  They come counterclockwise
+    from qhull, as scipy documents for 2-D ``Delaunay.simplices``.
     """
     band = np.flatnonzero(~outside)
     tris = band[Delaunay(points[band]).simplices]
@@ -265,7 +259,7 @@ def _stitch(points: np.ndarray, outside: np.ndarray, index: np.ndarray) -> np.nd
     nearest, _ = cKDTree(points[outside]).query(centre)
     tris = tris[nearest >= radius]
     first = len(points) - len(index)
-    return np.vstack([_orient(points, tris), _lattice_triangles(index, first, outside)])
+    return np.vstack([tris, _lattice_triangles(index, first, outside)])
 
 
 def _circumcircles(points: np.ndarray, triangles: np.ndarray):
@@ -311,7 +305,7 @@ def triangulate(p: Polygon, target_h: float) -> TriMesh:
     if not target_h > 0:  # NaN fails too
         raise InvariantViolation("target_h must be positive")
     inradius = metrics(p).inradius
-    if target_h >= inradius:
+    if not target_h < inradius:  # a NaN inradius fails too
         raise InvariantViolation(
             f"target_h={target_h:g} must be below the inradius {inradius:g}")
     corner = p.vertices.min(axis=0)
@@ -329,13 +323,6 @@ def triangulate(p: Polygon, target_h: float) -> TriMesh:
                    *_edge_table(triangles, len(points)))
     _assert_conforming(mesh)
     return mesh
-
-
-def _orient(nodes: np.ndarray, simplices: np.ndarray) -> np.ndarray:
-    tris = simplices.copy()
-    flip = _p1_basis(nodes, tris)[0] < 0
-    tris[flip, 1], tris[flip, 2] = tris[flip, 2], tris[flip, 1]
-    return tris
 
 
 def _edge_key(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:

@@ -96,7 +96,7 @@ class TargetMeasure:
         spec = SupportSpec(self.normals, self.weights)
         if not np.all(spec.values > 0):
             raise InvariantViolation("target weights must be strictly positive")
-        if np.linalg.norm(spec.values @ spec.normals) > 1e-9 * spec.values.sum():
+        if np.hypot(*(spec.values @ spec.normals)) > 1e-9 * spec.values.sum():
             raise InvariantViolation(
                 "target measure is not balanced; run project_balance first")
         _own(self, normals=spec.normals, weights=spec.values)
@@ -343,9 +343,16 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     # lands the stationary measure (4 tau / Phi) c on c itself.  The dilated
     # body's values follow from ev in closed form (see the module docstring).
     s = (ev.phi / (4.0 * ev.tau)) ** (1.0 / 3.0)
+    try:
+        tau = s ** 4 * ev.tau
+    except OverflowError:  # a float power raises where a float product returns inf
+        tau = np.inf
+    if not tau < np.inf:
+        raise InvariantViolation(
+            f"target weights too large: the solution's rigidity overflows (dilation {s:.3g})")
     h = h.with_values(s * h.values)
     mu = SurfaceMeasure(ev.mu.normals, s ** 3 * ev.mu.weights).validate()
-    final = replace(ev, grad_J=ev.grad_J / s, tau=s ** 4 * ev.tau, mu=mu,
+    final = replace(ev, grad_J=ev.grad_J / s, tau=tau, mu=mu,
                     polygon=build_polytope(h), phi=s * ev.phi)
     log.append(_log_row(iters, final, metrics(final.polygon), 0.0))
     return _report(h, final, log, iters, stop, calls)

@@ -149,10 +149,11 @@ class Polygon:
     ``facet_normals[i]`` is the outward unit normal of the edge from
     ``vertices[i]`` to ``vertices[i+1]``, ``facet_lengths[i]`` its length
     and ``offsets[i]`` its support number; these, ``area`` and the area
-    ``centroid`` are set from the vertices at construction.
-    ``source_index[i]``, when present, is the index of the generating
-    constraint in the SupportSpec the polygon was built from; it keeps
-    measure vectors aligned with the optimizer's normal fan.
+    ``centroid`` are set from the vertices at construction, and a cycle
+    whose area or centroid overflows (an extent of order 1e103) is
+    rejected.  ``source_index[i]``, when present, is the index of the
+    generating constraint in the SupportSpec the polygon was built from;
+    it keeps measure vectors aligned with the optimizer's normal fan.
     ``metrics`` keeps its result on the polygon.
     """
 
@@ -181,12 +182,15 @@ class Polygon:
         if not (np.all(turn > ANGLE_TOL) and wraps == 1):  # NaN fails too; a star turns left too
             raise InvariantViolation("vertex cycle is not strictly convex counterclockwise")
         w = v - v[0]  # sums about v[0]: their roundoff does not grow under translation
-        shoelace = w[:, 0] * np.roll(w[:, 1], -1) - np.roll(w[:, 0], -1) * w[:, 1]
-        area = 0.5 * float(np.sum(shoelace))
-        if area <= 0:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+            shoelace = w[:, 0] * np.roll(w[:, 1], -1) - np.roll(w[:, 0], -1) * w[:, 1]
+            area = 0.5 * float(np.sum(shoelace))
+            moment = ((w + np.roll(w, -1, axis=0)) * shoelace[:, None]).sum(axis=0)
+            centroid = v[0] + moment / (6.0 * area)
+        if not area > 0:
             raise InvariantViolation("polygon area must be positive")
-        moment = ((w + np.roll(w, -1, axis=0)) * shoelace[:, None]).sum(axis=0)
-        centroid = v[0] + moment / (6.0 * area)
+        if not (np.isfinite(area) and np.all(np.isfinite(centroid))):
+            raise InvariantViolation("polygon too large: its area or centroid overflows")
         offsets = np.einsum("ij,ij->i", normals, v)
         src = self.source_index
         if src is not None:

@@ -105,11 +105,6 @@ class TorsionField:
             (ua * gx[:, 0] + ub * gx[:, 1] + uc * gx[:, 2]) / twice_area,
             (ua * gy[:, 0] + ub * gy[:, 1] + uc * gy[:, 2]) / twice_area])
 
-    def interpolate(self, points) -> np.ndarray:
-        """P1 interpolation of u at interior query points."""
-        tri_idx, w = self.mesh.barycentric(points)
-        return np.einsum("ij,ij->i", self.u[self.mesh.triangles[tri_idx]], w)
-
 
 def assemble(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray]:
     """Stiffness matrix and load vector for the constant-load problem.
@@ -201,12 +196,14 @@ def _vcycle(levels, coarse, r):
 def _pcg(A, b, precondition, x0=None):
     """Preconditioned conjugate gradients from x0 (zero if None) to the
     residual LINEAR_TOL ||b||; returns (x, iterations).  Raises
-    LinearSolveFailure when b is not finite, when MAX_CG_ITERS iterations
-    do not reach the tolerance, or when the residual or preconditioned
-    residual turns non-finite."""
-    stop = LINEAR_TOL * np.linalg.norm(b)
+    LinearSolveFailure when ||b|| is not finite (it overflows on bodies of
+    extent 1e100), when MAX_CG_ITERS iterations do not reach the
+    tolerance, or when the residual or preconditioned residual turns
+    non-finite."""
+    with np.errstate(over="ignore"):
+        stop = LINEAR_TOL * np.linalg.norm(b)
     if not np.isfinite(stop):
-        raise LinearSolveFailure("load vector is not finite")
+        raise LinearSolveFailure("load vector norm is not finite")
     if x0 is None:
         x, r = np.zeros_like(b), b.copy()
     else:
@@ -356,7 +353,9 @@ def check_sqrt_concavity(f: TorsionField, trials: int = 1000,
 
     Draws segment endpoints uniformly in the polygon (triangle-area
     weighted), and checks sqrt(u) at the midpoint against the endpoint
-    average with slack 0.02 * max sqrt(u).  Violations are reported, not
+    average with slack 0.02 * max sqrt(u).  u at an endpoint is
+    interpolated in the triangle it was drawn from, and each midpoint is
+    located by ``TriMesh.barycentric``.  Violations are reported, not
     raised.
     """
     _check_count("trials", trials, 1)
@@ -365,17 +364,19 @@ def check_sqrt_concavity(f: TorsionField, trials: int = 1000,
     areas = mesh.triangle_areas()
     prob = areas / areas.sum()
 
+    def value(tri, w):  # the P1 interpolant of u at weights w in triangles tri
+        return np.einsum("ij,ij->i", f.u[mesh.triangles[tri]], w)
+
     def sample(n):
         tri = rng.choice(mesh.n_triangles, size=n, p=prob)
         r1, r2 = rng.random(n), rng.random(n)
         s = np.sqrt(r1)
         w = np.column_stack([1.0 - s, s * (1.0 - r2), s * r2])
-        pts = np.einsum("ijk,ij->ik", mesh.nodes[mesh.triangles[tri]], w)
-        return pts
+        return np.einsum("ijk,ij->ik", mesh.nodes[mesh.triangles[tri]], w), value(tri, w)
 
-    a, b = sample(trials), sample(trials)
-    w = np.sqrt(np.clip(f.interpolate(np.vstack([a, b, 0.5 * (a + b)])), 0.0, None))
-    wa, wb, wm = w.reshape(3, trials)
+    (a, ua), (b, ub) = sample(trials), sample(trials)
+    um = value(*mesh.barycentric(0.5 * (a + b)))
+    wa, wb, wm = np.sqrt(np.clip([ua, ub, um], 0.0, None))
     margin = wm - 0.5 * (wa + wb)
     eps = 0.02 * float(np.sqrt(f.u.max()))
     violations = int(np.sum(margin < -eps))

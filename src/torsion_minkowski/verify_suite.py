@@ -8,10 +8,19 @@ homogeneities of the rigidity (degree 4) and the mixed rigidity
 (degree 3 in the first argument, 1 in the second).
 
 Mesh resolutions passed to these checks are relative to each body's
-circumradius, matching the CLI convention.  The pass thresholds (the
-Brunn-Minkowski slack and equality tolerance, the continuity modulus
-factor, the homogeneity tolerance) are module constants sized for the
-default resolution ``mesh.REL_MESH_H``.
+circumradius, matching the CLI convention.  The Brunn-Minkowski slack
+and equality tolerance and the continuity modulus factor are module
+constants sized for the default resolution ``mesh.REL_MESH_H``.
+
+The homogeneity check holds to roundoff at any resolution.  The spacing
+is relative to the circumradius and ``triangulate`` meshes in the
+polygon's lattice frame, so the mesh of a dilated body is the dilated
+mesh, node for node, and the discrete rigidity and measure scale exactly.
+A dilation by a power of two leaves the frame coordinates bit-identical.
+On ``polygon_corpus(42, 6)`` the defects are exactly 0 at s = 2 and at
+most 7.5e-14 at s = 1.7 and 3.  ``HOMOGENEITY_TOL`` is therefore no
+discretization budget: it catches only a stage that stops commuting
+with dilations, such as an absolute spacing.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -155,12 +156,12 @@ def test_corpus_meshes_pass_checker():
 
 def test_locate_and_outside(square_mesh):
     inside = np.array([[0.0, 0.0], [0.7, -0.3]])
-    idx = square_mesh.locate(inside)
+    idx, w = square_mesh.barycentric(inside)
     assert np.all(idx >= 0)
-    outside = np.array([[5.0, 0.0]])
-    assert square_mesh.locate(outside)[0] == -1
-    with pytest.raises(PointOutside):
-        square_mesh.barycentric(outside)
+    assert np.allclose(np.einsum("ij,ijk->ik", w, square_mesh.nodes[square_mesh.triangles[idx]]),
+                       inside)
+    with pytest.raises(PointOutside, match=r"1 query points outside the mesh: \[1\]"):
+        square_mesh.barycentric(np.array([[0.0, 0.0], [5.0, 0.0]]))
 
 
 def test_full_scan_finds_what_the_nearest_centroids_miss(monkeypatch):
@@ -213,19 +214,20 @@ def test_point_location_matches_reference(square_mesh):
         t = rng.random((200, 1))
         edge = (1.0 - t) * tri[pick, 0] + t * tri[pick, 1]
         inside = np.vstack([interior, m.nodes, edge])
-        idx = m.locate(inside)
+        idx, w = m.barycentric(inside)
         assert np.all(idx >= 0)
         assert np.all(_reference_inside(m, inside, idx))
-        got_idx, got_w = m.barycentric(inside)
-        assert np.array_equal(got_idx, idx)
-        assert np.abs(got_w - _reference_weights(m, inside, idx)).max() <= 1e-13
+        assert np.abs(w - _reference_weights(m, inside, idx)).max() <= 1e-13
 
         lo, hi = m.polygon.vertices.min(axis=0), m.polygon.vertices.max(axis=0)
         span = hi - lo
         cloud = lo - span + 3.0 * span * rng.random((400, 2))
         outside = cloud[m.polygon.distance_to_boundary(cloud) < -0.05 * m.target_h]
         assert len(outside) > 100
-        assert np.all(m.locate(outside) == -1)
+        with pytest.raises(PointOutside) as raised:
+            m.barycentric(outside)
+        named = re.search(r"outside the mesh: \[(.*)\]", str(raised.value)).group(1)
+        assert [int(k) for k in named.split(",")] == list(range(len(outside)))
 
 
 def _turned(p, angle):
