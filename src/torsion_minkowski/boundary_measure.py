@@ -2,12 +2,19 @@
 
 The normal derivative of the torsion function is recovered at each
 boundary node as the node's reaction K u - load over its lumped boundary
-mass, half the length of each adjacent boundary edge.  On the Delaunay
-meshes ``triangulate`` builds, every off-diagonal stiffness entry is
-nonpositive and u > 0 inside, so every boundary reaction is negative and
-taking magnitudes flips no sign; since K 1 = 0 and the load sums to twice
-the area, the trapezoidal boundary integral of the flux is then twice the
-area up to the linear-solver tolerance, which is the divergence theorem.
+mass, half the length of each adjacent boundary edge.  A boundary node's
+reaction is the sum of K_ij u_j over its interior neighbours j, minus
+its positive load share.  On the Delaunay meshes ``triangulate`` builds,
+every off-diagonal stiffness entry is nonpositive and u > 0 inside, so
+every boundary reaction is negative.  ``refine`` does not keep the
+Delaunay property: the two children that share a midpoint edge inside a
+parent with an obtuse angle both face it with that angle, and their
+stiffness entry is positive.  So the sign is an invariant that
+``boundary_flux`` checks rather than one it assumes: a reaction >= 0
+raises MaximumPrincipleViolation.  Since K 1 = 0 and the load sums to
+twice the area, the trapezoidal boundary integral of the flux is twice
+the area up to the linear-solver tolerance, which is the divergence
+theorem.
 
 The squared flux integrated facet by facet (trapezoidal in g^2) gives
 the per-normal weights of the torsion measure; corner nodes contribute
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FacetAttributionMissing, InvariantViolation
+from .errors import FacetAttributionMissing, InvariantViolation, MaximumPrincipleViolation
 from .mesh import triangulate
 from .support_geometry import (
     Polygon,
@@ -89,15 +96,21 @@ def boundary_flux(f: TorsionField) -> np.ndarray:
 
     Each boundary node's reaction K u - load is divided by its lumped
     boundary mass, half the length of each adjacent boundary edge; the
-    reaction approximates the integral of du/dnu <= 0 over that share.
+    reaction approximates the integral of du/dnu < 0 over that share.
     The returned array stores the magnitude (zero at interior nodes).
+    Raises MaximumPrincipleViolation if any boundary reaction is >= 0
+    (see the module docstring).
     """
     mesh = f.mesh
     share = np.bincount(mesh.boundary_edges.ravel(), minlength=mesh.n_nodes,
                         weights=np.repeat(0.5 * mesh.boundary_edge_lengths, 2))
     out = np.zeros(mesh.n_nodes)
     bidx = mesh.boundary_node_ids
-    out[bidx] = np.abs(f.reaction[bidx]) / share[bidx]
+    reaction = f.reaction[bidx]
+    if not np.all(reaction < 0.0):  # NaN fails too
+        raise MaximumPrincipleViolation(
+            f"{int((~(reaction < 0.0)).sum())} boundary nodes with reaction K u - load >= 0")
+    out[bidx] = -reaction / share[bidx]
     return out
 
 

@@ -3,8 +3,8 @@
 The CLI maps these onto exit statuses: validation problems exit 1,
 numerical failures exit 2, non-convergence exits 3.  The only linear
 solve is the conjugate-gradient torsion solve (LinearSolveFailure); the
-boundary flux is read off that solve's nodal reactions and has no
-failure of its own.
+boundary flux is read off that solve's nodal reactions, and its one
+failure is a reaction of the wrong sign (MaximumPrincipleViolation).
 """
 
 
@@ -39,8 +39,9 @@ class LinearSolveFailure(TorsionMinkowskiError):
 
 
 class MaximumPrincipleViolation(TorsionMinkowskiError):
-    """An interior nodal value of the torsion function is non-positive,
-    which signals a bad mesh."""
+    """An interior nodal value of the torsion function is non-positive, or
+    a boundary node's reaction K u - load is nonnegative; either signals
+    a bad mesh."""
 
 
 class PointOutside(TorsionMinkowskiError):

@@ -28,21 +28,36 @@ the coarse mesh stage into the fine one.  Until the first pair, and
 whenever -H grad J is not a descent direction, the step follows -grad J.
 A pair without positive curvature (s . y <= 0) leaves H unchanged.
 
-The descent runs in two stages, on meshes COARSE_MESH_FACTOR times
-coarser than ``mesh_h`` and then at ``mesh_h``.  Every stage ends by one
-rule: the l1 residual falls to the stage's bar (max(3 tol, 0.03) when
-coarse, tol when fine), or the line search stalls.  The coarse stage
-hands its iterate and H to the fine one; the fine stage's end is the
-solve's.
+The descent runs in two stages.  Both mesh B[h] at the coarse spacing
+min(2 mesh_h R, r / 2), R and r being its circumradius and inradius.  The
+coarse stage evaluates on that mesh; the fine stage solves the mesh and
+its uniform refinement as one nested pair (``solve_nested``) and
+evaluates on the refined field, so its spacing is min(mesh_h R, r / 4)
+and no fine-spacing mesh is ever built.  The pair's difference gives the
+fine stage's measure error estimate at no extra solve.  Every stage ends
+by one rule: the l1 residual falls to the stage's bar (max(3 tol, 0.03)
+when coarse, tol when fine), or the line search stalls.  The coarse
+stage hands its iterate and H to the fine one; the fine stage's end is
+the solve's.
+
+The descent runs on the target scaled by 2^-k, k = round(log2 sum c).  A
+power-of-two scaling is exact in floating point, so targets that differ
+by a power-of-two factor descend on the same scaled target: they take
+the same steps and report the same residuals, and J, its gradient and
+the secant pairs stay near unit size whatever the target's magnitude.
+J, the objective history and the multiplier are scaled back by 2^k.
 
 Each accepted iterate is recentred so its Steiner point sits at the
 origin, removing the translation null direction a balanced target
 induces.  A translation changes neither J nor its gradient, so the
-secant pair is taken from the accepted step before recentring.
+secant pair is taken from the accepted step before recentring, and the
+first fine evaluation reuses the last coarse one's mesh, of the iterate
+before its recentring.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,7 +70,7 @@ from .errors import (
     UnbalanceableMeasure,
     UnboundedBody,
 )
-from .mesh import REL_MESH_H, triangulate
+from .mesh import REL_MESH_H, TriMesh, triangulate
 from .support_geometry import (
     Polygon,
     SupportSpec,
@@ -71,10 +86,9 @@ from .support_geometry import (
     seeded_rng,
     steiner_point,
 )
-from .torsion_fem import solve_torsion
+from .torsion_fem import TorsionField, solve_nested, solve_torsion
 
 BOUNDS_SLACK = 50.0  # iterates may drift this far from the first iterate's scale
-COARSE_MESH_FACTOR = 2.0  # the coarse stage meshes at this multiple of mesh_h
 UNIQUENESS_TOL = 0.03  # worst pairwise Hausdorff distance / circumradius allowed
 
 
@@ -144,9 +158,13 @@ class ObjectiveEval:
     ``residual`` is the l1 mismatch of the dilation-corrected measure to
     the target weights — the quantity the solve is judged by.
     ``rep_residual`` is the relative defect of tau = (1/4) sum h_i mu_i,
-    which tracks the discretization error; ``nodes`` counts the mesh's
-    nodes.  Both are invariant under dilation.  ``cg_iterations`` counts
-    the torsion solve's CG iterations.
+    which tracks the discretization error; ``nodes`` counts the nodes of
+    ``mesh``, the mesh the torsion field was solved on.  Both are
+    invariant under dilation.  ``cg_iterations`` counts the torsion
+    solve's CG iterations.  ``measure_error_estimate``, set when the field
+    is the refined field of a nested pair, is
+    ||mu_f - mu_c||_1 / (3 ||mu_f||_1) over the pair's measures, and None
+    otherwise.
     """
 
     J: float
@@ -157,11 +175,16 @@ class ObjectiveEval:
     phi: float
     residual: float
     rep_residual: float
-    nodes: int
+    mesh: TriMesh = field(repr=False)
     cg_iterations: int
+    measure_error_estimate: float | None
 
     def __post_init__(self):
         _own(self, grad_J=self.grad_J)
+
+    @property
+    def nodes(self) -> int:
+        return self.mesh.n_nodes
 
 
 def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float) -> ObjectiveEval:
@@ -172,10 +195,16 @@ def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float) -> Objective
     measure's closure is not checked here: descent iterates may be
     coarse, and ``solve_minkowski`` checks its final measure.
     """
+    return _objective_from_field(h, target,
+                                 solve_torsion(triangulate(build_polytope(h), mesh_h)))
+
+
+def _objective_from_field(h: SupportSpec, target: TargetMeasure, fld: TorsionField,
+                          coarse: TorsionField | None = None) -> ObjectiveEval:
+    """``objective``'s arithmetic on a torsion field of B[h]; ``coarse``,
+    the mesh field of a nested pair whose refined field is ``fld``, adds
+    the measure error estimate."""
     c = target.weights
-    polygon = build_polytope(h)
-    mesh = triangulate(polygon, mesh_h)
-    fld = solve_torsion(mesh)
     mu = torsion_measure(fld, h, budget=np.inf)
     tau = fld.tau_energy
     phi = float(c @ h.values)
@@ -183,9 +212,13 @@ def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float) -> Objective
     grad = c * tau ** (-0.25) - 0.25 * phi * tau ** (-1.25) * mu.weights
     scale_cubed = phi / (4.0 * tau)
     residual = float(np.abs(scale_cubed * mu.weights - c).sum() / c.sum())
-    return ObjectiveEval(J, grad, tau, mu, polygon, phi, residual,
-                         representation_residual(fld, h, mu), mesh.n_nodes,
-                         fld.cg_iterations)
+    estimate = None
+    if coarse is not None:
+        mu_c = torsion_measure(coarse, h, budget=np.inf)
+        estimate = float(np.abs(mu.weights - mu_c.weights).sum() / (3.0 * mu.total_mass))
+    return ObjectiveEval(J, grad, tau, mu, build_polytope(h), phi, residual,
+                         representation_residual(fld, h, mu), fld.mesh, fld.cg_iterations,
+                         estimate)
 
 
 @dataclass(frozen=True)
@@ -250,7 +283,8 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     A line search runs from every iterate whose l1 residual is above its
     stage's bar (see the module docstring); a stage ends at an iterate at
     or below the bar, or when the search stalls.  The end of the coarse
-    stage re-evaluates its iterate on the fine mesh.
+    stage re-evaluates its iterate as a nested pair on the mesh of its
+    last coarse evaluation.
 
     The report is the last fine-stage evaluation, dilated in closed form;
     only the loop decides ``converged``.  ``diagnostics["stop_reason"]``
@@ -262,15 +296,19 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     (``backtracks``) and swallowed EmptyInterior errors
     (``empty_interior``) of its line search and names its ``direction``:
     ``"bfgs"``, or ``"gradient"`` for the -grad J fallback (``None`` on a
-    row that ran no line search).
+    row that ran no line search).  A fine-stage row carries the
+    evaluation's ``measure_error_estimate``, a coarse-stage row None.
     ``diagnostics["objective_calls"]`` counts the objective evaluations.
     """
     opts = opts or SolveOptions()
     h = SupportSpec(target.normals,
                     np.ones(len(target)) if opts.init_values is None else opts.init_values)
     h = h.translated(-steiner_point(build_polytope(h)))
+    # the descent's target, c 2^-k (see the module docstring)
+    k = int(np.rint(np.logaddexp2.reduce(np.log2(target.weights))))
+    target = TargetMeasure(target.normals, np.ldexp(target.weights, -k))
 
-    stage_scale = COARSE_MESH_FACTOR
+    fine = False  # the stage: coarse, then fine
     coarse_bar = max(3.0 * opts.tol, 0.03)
     log: list[dict] = []
     bounds = None
@@ -279,11 +317,12 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     failure = None  # message of a NoConvergence exit
     iters = 0
 
-    ev = _eval(h, target, opts, stage_scale)
+    ev_h = h  # the support vector ev was evaluated at: h before its recentring
+    ev = _eval(h, target, opts, fine)
     calls = 1  # objective evaluations
     while iters < opts.max_iters:
         m = metrics(ev.polygon)
-        log.append(_log_row(iters, ev, m, step))
+        log.append(_log_row(iters, ev, m, step, k))
         if bounds is None:
             bounds = (m.inradius / BOUNDS_SLACK, m.circumradius * BOUNDS_SLACK)
         if not (bounds[0] <= m.inradius and m.circumradius <= bounds[1]):
@@ -292,9 +331,8 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
                        f"circumradius {m.circumradius:.3g})")
             break
         g = ev.grad_J
-        at_fine = stage_scale == 1.0
         accepted = None
-        if ev.residual > (opts.tol if at_fine else coarse_bar):
+        if ev.residual > (opts.tol if fine else coarse_bar):
             direction = -g if H is None else -H @ g
             kind = "gradient" if H is None else "bfgs"
             if direction @ g >= 0:  # -H g is no descent direction
@@ -310,7 +348,7 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
                 trial = h.with_values(h.values + step * direction)
                 calls += 1
                 try:
-                    trial_ev = _eval(trial, target, opts, stage_scale)
+                    trial_ev = _eval(trial, target, opts, fine)
                 except EmptyInterior:
                     empty += 1
                 else:
@@ -321,28 +359,29 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
                 step *= 0.5
             log[-1].update(backtracks=backtracks, empty_interior=empty, direction=kind)
         if accepted is not None:
-            h, ev = accepted
+            ev_h, ev = accepted
             H = _bfgs_update(H, step * direction, ev.grad_J - g)
-            h = h.translated(-steiner_point(ev.polygon))
-        elif at_fine:  # residual at the bar, or a stall at the discretization floor
+            h = ev_h.translated(-steiner_point(ev.polygon))
+        elif fine:  # residual at the bar, or a stall at the discretization floor
             stop = "residual" if ev.residual <= opts.tol else "line_search_stall"
             break
-        else:  # coarse residual at its bar, or a coarse stall: go fine
-            stage_scale = 1.0
+        else:  # coarse residual at its bar, or a coarse stall: go fine on ev's mesh
+            fine = True
             calls += 1
-            ev = _eval(h, target, opts, stage_scale)
+            ev = _eval(ev_h, target, opts, fine, ev.mesh)
         iters += 1
     else:
         stop = "iteration_cap"
         failure = (f"no convergence in {opts.max_iters} iterations "
                    f"(residual {ev.residual:.3g})")
     if failure is not None:
-        raise NoConvergence(failure, report=_report(h, ev, log, iters, stop, calls))
+        raise NoConvergence(failure, report=_report(h, ev, log, iters, stop, calls, k))
 
     # Homogeneity rescale: mu scales with the cube of a dilation, so this
-    # lands the stationary measure (4 tau / Phi) c on c itself.  The dilated
-    # body's values follow from ev in closed form (see the module docstring).
-    s = (ev.phi / (4.0 * ev.tau)) ** (1.0 / 3.0)
+    # lands the stationary measure (4 tau / Phi) c on c itself, Phi being
+    # the unscaled target's.  The dilated body's values follow from ev in
+    # closed form (see the module docstring).
+    s = (math.ldexp(ev.phi, k) / (4.0 * ev.tau)) ** (1.0 / 3.0)
     try:
         tau = s ** 4 * ev.tau
     except OverflowError:  # a float power raises where a float product returns inf
@@ -354,8 +393,8 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     mu = SurfaceMeasure(ev.mu.normals, s ** 3 * ev.mu.weights).validate()
     final = replace(ev, grad_J=ev.grad_J / s, tau=tau, mu=mu,
                     polygon=build_polytope(h), phi=s * ev.phi)
-    log.append(_log_row(iters, final, metrics(final.polygon), 0.0))
-    return _report(h, final, log, iters, stop, calls)
+    log.append(_log_row(iters, final, metrics(final.polygon), 0.0, k))
+    return _report(h, final, log, iters, stop, calls, k)
 
 
 def _bfgs_update(H, s: np.ndarray, y: np.ndarray):
@@ -372,27 +411,41 @@ def _bfgs_update(H, s: np.ndarray, y: np.ndarray):
     return V @ H @ V.T + np.outer(s, s) / sy
 
 
-def _eval(h: SupportSpec, target: TargetMeasure, opts: SolveOptions,
-          stage_scale: float) -> ObjectiveEval:
-    m = metrics(build_polytope(h))
-    # triangulate needs mesh_h below the inradius.  Capping it at half the
-    # inradius binds only where R / r exceeds 0.5 / (stage_scale * mesh_h):
-    # 12.5 in the coarse stage and 25 in the fine one at the default mesh_h.
-    mesh_h = min(opts.mesh_h * stage_scale * m.circumradius, 0.5 * m.inradius)
-    return objective(h, target, mesh_h)
+def _eval(h: SupportSpec, target: TargetMeasure, opts: SolveOptions, fine: bool,
+          mesh: TriMesh | None = None) -> ObjectiveEval:
+    """Evaluate the objective at B[h] in the coarse or the fine stage.
+
+    Both stages mesh B[h] at the coarse spacing; the fine stage then
+    evaluates on the refined field of ``solve_nested``.  ``mesh``, a
+    coarse-stage mesh of B[h], is reused instead of meshing again.
+    """
+    if mesh is None:
+        m = metrics(build_polytope(h))
+        # triangulate needs a spacing below the inradius.  Capping it at half
+        # the inradius binds where R / r exceeds 0.25 / mesh_h (12.5 at the
+        # default mesh_h), in both stages; the refined spacing of the fine
+        # stage is then r / 4, finer than a mesh at mesh_h R capped at r / 2.
+        spacing = min(2.0 * opts.mesh_h * m.circumradius, 0.5 * m.inradius)
+        if not fine:
+            return objective(h, target, spacing)
+        mesh = triangulate(build_polytope(h), spacing)
+    coarse, refined = solve_nested(mesh)
+    return _objective_from_field(h, target, refined, coarse)
 
 
-def _log_row(iteration: int, ev: ObjectiveEval, m, step: float) -> dict:
+def _log_row(iteration: int, ev: ObjectiveEval, m, step: float, k: int) -> dict:
     """The record of one iterate: a CSV log row, and the source of the
-    report's objective and residual histories."""
-    return {"iter": iteration, "J": ev.J, "residual": ev.residual, "tau": ev.tau,
-            "inradius": m.inradius, "circumradius": m.circumradius, "step": step,
-            "backtracks": 0, "empty_interior": 0, "direction": None,
+    report's objective and residual histories.  J is scaled back by 2^k
+    to the unscaled target's."""
+    return {"iter": iteration, "J": math.ldexp(ev.J, k), "residual": ev.residual,
+            "tau": ev.tau, "inradius": m.inradius, "circumradius": m.circumradius,
+            "step": step, "backtracks": 0, "empty_interior": 0, "direction": None,
             "rep_residual": ev.rep_residual, "nodes": ev.nodes,
-            "cg_iterations": ev.cg_iterations}
+            "cg_iterations": ev.cg_iterations,
+            "measure_error_estimate": ev.measure_error_estimate}
 
 
-def _report(h, ev, log, iters, stop, calls) -> SolveReport:
+def _report(h, ev, log, iters, stop, calls, k) -> SolveReport:
     polygon = build_polytope(h)  # ev.polygon may predate the recentring of h
     m = metrics(polygon)
     return SolveReport(
@@ -401,7 +454,7 @@ def _report(h, ev, log, iters, stop, calls) -> SolveReport:
         mu_final=ev.mu,
         objective_history=[row["J"] for row in log],
         residual_history=[row["residual"] for row in log],
-        multiplier_m=ev.J,
+        multiplier_m=math.ldexp(ev.J, k),
         iterations=iters,
         converged=stop == "residual",
         diagnostics={

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from torsion_minkowski import (
     FacetAttributionMissing,
     InvariantViolation,
+    MaximumPrincipleViolation,
     SurfaceMeasure,
     boundary_flux,
     facet_measure,
@@ -68,6 +70,25 @@ def test_flux_scales_linearly(square, square_field):
     # scale-equivariant meshing maps boundary nodes 1:1
     assert len(g1) == len(g2)
     assert np.abs(g2 - 2.0 * g1).max() <= 0.03 * (2.0 * g1).max()
+
+
+def test_boundary_reactions_are_negative_on_refined_corpus_meshes():
+    # refine keeps no Delaunay property, so its stiffness has positive
+    # off-diagonal entries; the boundary reactions stay negative all the same
+    for p in polygon_corpus(42, 50):
+        f = solve_torsion(refine(triangulate(p, 0.04 * metrics(p).circumradius)))
+        assert np.all(f.reaction[f.mesh.boundary_node_ids] < 0.0)
+        assert np.all(boundary_flux(f)[f.mesh.boundary_node_ids] > 0.0)
+
+
+def test_nonnegative_boundary_reaction_raises(square_field):
+    reaction = np.array(square_field.reaction)
+    reaction[square_field.mesh.boundary_node_ids[3]] = 1e-12
+    flipped = dataclasses.replace(square_field, reaction=reaction)
+    with pytest.raises(MaximumPrincipleViolation, match="1 boundary node"):
+        boundary_flux(flipped)
+    with pytest.raises(MaximumPrincipleViolation):
+        facet_measure(flipped)
 
 
 def _flux_integral(f):

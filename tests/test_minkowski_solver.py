@@ -30,11 +30,11 @@ from torsion_minkowski import (
     uniqueness_probe,
 )
 import torsion_minkowski
-from torsion_minkowski import minkowski_solver, support_geometry
-from torsion_minkowski.boundary_measure import HadamardReport, SurfaceMeasure
-from torsion_minkowski.mesh import TriMesh, triangulate
+from torsion_minkowski import minkowski_solver, support_geometry, torsion_fem
+from torsion_minkowski.boundary_measure import HadamardReport, SurfaceMeasure, torsion_measure
+from torsion_minkowski.mesh import TriMesh, refine, triangulate
 from torsion_minkowski.minkowski_solver import ObjectiveEval
-from torsion_minkowski.torsion_fem import TorsionField
+from torsion_minkowski.torsion_fem import TorsionField, solve_torsion
 from torsion_minkowski.verify_suite import polygon_corpus
 from conftest import SQUARE_COEFF, corpus_measure_target
 
@@ -332,36 +332,37 @@ def test_coarse_stage_ends_on_the_l1_residual_alone(monkeypatch, square_target):
 def test_each_evaluation_computes_one_inradius(monkeypatch):
     # metrics is kept on each polygon and build_polytope on each spec, so
     # an objective evaluation computes the inradius once, not up to 3 times;
-    # the reported body is no evaluation, but its metrics compute one more
+    # the first fine evaluation reuses the last coarse one's mesh and
+    # computes none, and the reported body's metrics compute one more
     target, _ = corpus_measure_target(7)
     counts = {"inradius": 0, "evals": 0}
-    inradius, evaluate = support_geometry._inradius, minkowski_solver.objective
+    inradius, evaluate = support_geometry._inradius, minkowski_solver._eval
 
     def counting_inradius(*args, **kwargs):
         counts["inradius"] += 1
         return inradius(*args, **kwargs)
 
-    def counting_objective(*args, **kwargs):
+    def counting_eval(*args, **kwargs):
         counts["evals"] += 1
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(support_geometry, "_inradius", counting_inradius)
-    monkeypatch.setattr(minkowski_solver, "objective", counting_objective)
+    monkeypatch.setattr(minkowski_solver, "_eval", counting_eval)
     rep = solve_minkowski(target, SolveOptions())
     assert counts["evals"] > 0
-    assert counts["inradius"] == counts["evals"] + 1
+    assert counts["inradius"] == counts["evals"]
     assert rep.diagnostics["objective_calls"] == counts["evals"]
 
 
 def test_solve_reports_the_dilated_last_evaluation(monkeypatch, square_target):
     calls = {"n": 0}
-    evaluate = minkowski_solver.objective
+    evaluate = minkowski_solver._eval
 
-    def counting_objective(*args, **kwargs):
+    def counting_eval(*args, **kwargs):
         calls["n"] += 1
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(minkowski_solver, "objective", counting_objective)
+    monkeypatch.setattr(minkowski_solver, "_eval", counting_eval)
     rep = solve_minkowski(square_target, SolveOptions())
     assert calls["n"] == 2  # the coarse and the fine evaluation of h = 1
     before, last = rep.diagnostics["iterations_log"][-2:]
@@ -376,6 +377,95 @@ def test_solve_reports_the_dilated_last_evaluation(monkeypatch, square_target):
                             np.full(6, 0.28113))
     r = solve_minkowski(hexagon, SolveOptions()).residual_history
     assert r[-1] == r[-2]
+
+
+def _recording(monkeypatch, module, name) -> list:
+    """Patch ``module.name`` to record each call's (args, result)."""
+    calls, original = [], getattr(module, name)
+
+    def record(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def _coarse_spacing(p: Polygon) -> float:
+    """The spacing at which the solve meshes p, in either stage."""
+    m = metrics(p)
+    return min(2.0 * SolveOptions().mesh_h * m.circumradius, 0.5 * m.inradius)
+
+
+def test_fine_stage_refines_the_coarse_stage_mesh(monkeypatch):
+    # every mesh is built at the coarse spacing; each fine evaluation
+    # refines one, and the first reuses the last coarse evaluation's mesh
+    target, _ = corpus_measure_target(7)
+    evals = _recording(monkeypatch, minkowski_solver, "_eval")
+    meshes = _recording(monkeypatch, minkowski_solver, "triangulate")
+    refined = _recording(monkeypatch, torsion_fem, "refine")
+    rep = solve_minkowski(target, SolveOptions())
+    assert rep.converged
+    assert len(meshes) == rep.diagnostics["objective_calls"] - 1
+    assert all(spacing == _coarse_spacing(polygon) for (polygon, spacing), _ in meshes)
+    fine = [(args, ev) for args, ev in evals if args[3]]
+    assert len(refined) == len(fine) >= 2
+    log = rep.diagnostics["iterations_log"]
+    assert log[0]["measure_error_estimate"] is None
+    assert log[-1]["measure_error_estimate"] is not None
+    for row in log:
+        if row["measure_error_estimate"] is None:
+            continue
+        (h, *_), ev = next((args, ev) for args, ev in fine if ev.residual == row["residual"])
+        body = build_polytope(h)
+        assert row["nodes"] == ev.nodes == refine(triangulate(body, _coarse_spacing(body))).n_nodes
+
+
+def test_switch_evaluation_matches_a_fresh_nested_evaluation(monkeypatch):
+    # the switch evaluates the last coarse iterate before its recentring,
+    # on its coarse mesh; meshing commutes with the translation
+    target, _ = corpus_measure_target(7)
+    evaluate = minkowski_solver._eval
+    evals = _recording(monkeypatch, minkowski_solver, "_eval")
+    solve_minkowski(target, SolveOptions())
+    ((h, scaled, opts, fine, mesh), switch), = [e for e in evals if len(e[0]) == 5]
+    assert fine and mesh.polygon is build_polytope(h)
+    fresh = evaluate(h.translated(-steiner_point(build_polytope(h))), scaled, opts, True)
+    assert switch.J == pytest.approx(fresh.J, rel=1e-12, abs=0.0)
+    assert switch.tau == pytest.approx(fresh.tau, rel=1e-12, abs=0.0)
+
+
+def test_fine_measure_error_estimate_matches_a_twice_refined_mesh():
+    # for an O(h^2) measure, ||mu_f - mu_c|| / 3 estimates the fine error,
+    # and the twice-refined mesh's measure carries about a quarter of it:
+    # the ratio below should sit near 4/3
+    target, _ = corpus_measure_target(7)
+    h = SupportSpec(target.normals, np.ones(len(target)))
+    ev = minkowski_solver._eval(h, target, SolveOptions(), True)
+    mesh = triangulate(build_polytope(h), _coarse_spacing(build_polytope(h)))
+    ref = torsion_measure(solve_torsion(refine(refine(mesh))), h, budget=np.inf)
+    error = np.abs(ev.mu.weights - ref.weights).sum() / ref.total_mass
+    assert 0.5 * error <= ev.measure_error_estimate <= 2.0 * error
+
+
+def test_huge_target_weights_converge():
+    # the descent's target is scaled near unit mass, so nothing overflows:
+    # unscaled, these weights overflowed -H grad J and stalled
+    target = TargetMeasure(AXIS_NORMALS, np.array([2e199, 6e199, 2e199, 6e199]))
+    rep = solve_minkowski(target, SolveOptions())
+    assert rep.converged
+    assert np.isfinite(rep.multiplier_m) and rep.residual_history[-1] <= SolveOptions().tol
+
+
+def test_power_of_two_target_factor_is_exact():
+    target, _ = corpus_measure_target(7)
+    big = TargetMeasure(target.normals, np.ldexp(target.weights, 40))
+    rep, rep_big = solve_minkowski(target, SolveOptions()), solve_minkowski(big, SolveOptions())
+    assert rep_big.residual_history == rep.residual_history
+    assert rep_big.objective_history == [2.0 ** 40 * J for J in rep.objective_history]
+    assert rep_big.multiplier_m == 2.0 ** 40 * rep.multiplier_m
+    np.testing.assert_allclose(rep_big.h_final.values, 2.0 ** (40 / 3) * rep.h_final.values,
+                               rtol=1e-13, atol=0.0)
 
 
 def test_fine_stage_stall_is_named(square_target):
@@ -501,7 +591,8 @@ def _owned_objective_eval():
     grad = np.ones(4)
     mu = SurfaceMeasure(AXIS_NORMALS, np.ones(4))
     p = build_polytope(SupportSpec(AXIS_NORMALS, np.ones(4)))
-    return ObjectiveEval(1.0, grad, 1.0, mu, p, 4.0, 0.0, 0.0, 9, 1), [grad]
+    return ObjectiveEval(1.0, grad, 1.0, mu, p, 4.0, 0.0, 0.0, triangulate(p, 0.5), 1,
+                         None), [grad]
 
 
 def _owned(build, *arrays):
