@@ -6,13 +6,17 @@ two nearest the extent (an exact division).  There it samples each
 polygon facet at spacing target_h / 2, the mesh-size convention, and
 fills the interior with a hexagonal lattice of spacing 0.85 target_h
 anchored at the origin, keeping the lattice points at least 0.4 lattice
-spacings deep.  Depth is evaluated once, over the lattice.  Nothing
-moves the nodes afterwards, so they are closed-form in the polygon's
-vertices.  The mesh is their Delaunay triangulation, from one qhull call
-on the boundary band (the nodes at most 1.5 lattice spacings deep),
-whose triangles are kept by an emptiness test against the deeper nodes,
+spacings deep.  On each lattice row these points form one span of
+columns, and so do the points deeper than the boundary band; both spans
+come from the row's chords of the polygon's inner parallel bodies,
+computed from the facets, and depth is evaluated only at the chord ends
+that roundoff could decide (see ``_row_spans``).  Nothing moves the
+nodes afterwards, so they are closed-form in the polygon's vertices.
+The mesh is their Delaunay triangulation, from one qhull call on the
+boundary band (the nodes at most 1.5 lattice spacings deep), whose
+triangles are kept by an emptiness test against the deeper nodes' spans,
 and the elementary lattice triangles of the deeper nodes, emitted
-straight from the lattice indices (see ``_stitch``).  The nodes are
+straight from the spans (see ``_stitch``).  The nodes are
 mapped back once, as ``corner + unit * points``.  Since the frame
 removes the body's position and size, meshing commutes with translations
 and dilations, which the homogeneity and gauge-invariance checks rely
@@ -36,8 +40,9 @@ NODE_CAP = 2_000_000  # triangulate and refine raise MeshTooFine above this
 REL_MESH_H = 0.02  # default spacing relative to a body's circumradius (solver, verify checks, CLI)
 LATTICE_MARGIN = 0.4  # kept lattice points lie at least this many lattice spacings deep
 # Band depth in lattice spacings: _hex_lattice marks the deeper nodes, and
-# _stitch needs it > 2/sqrt(3) and > 1 + LATTICE_MARGIN.
+# _stitch needs it > 2/sqrt(3) and >= 1 + LATTICE_MARGIN.
 _BAND_RINGS = 1.5
+_DEPTH_TIE = 1e-12  # lattice depths this close to a threshold are evaluated (see _row_spans)
 MIN_ANGLE_DEG = 20.0  # smallest triangle angle check_mesh accepts
 LOCATE_CANDIDATES = 16  # nearest triangle centroids tried before a full scan
 
@@ -194,72 +199,123 @@ def _boundary_samples(p: Polygon, spacing: float):
     return np.vstack(pts), np.repeat(np.arange(len(p)), counts)
 
 
+def _lattice_xy(iy: np.ndarray, ix: np.ndarray, h: float):
+    """Frame coordinates (x, y) of the lattice points (iy, ix) of spacing h.
+
+    The point of row iy and column ix has doubled column j = 2 ix + iy % 2
+    and sits at (j h / 2, iy h sqrt(3) / 2).
+    """
+    return (2 * ix + iy % 2) * (h / 2.0), iy * (h * np.sqrt(3.0) / 2.0)
+
+
+def _spans(lo: np.ndarray, hi: np.ndarray):
+    """Row and column of every entry of the per-row column ranges [lo, hi],
+    row by row and in column order; a range with hi < lo is empty."""
+    counts = np.maximum(hi - lo + 1, 0)
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.arange(counts.sum()) + (lo - np.cumsum(counts) + counts)[rows]
+
+
+def _row_spans(p: Polygon, h: float, n_rows: int, n_cols: int, level: float, passes):
+    """Per lattice row, the first and last column whose point passes the
+    depth test ``passes(p.distance_to_boundary(point), level)``.
+
+    Along a row each facet's term ``offset - (nx x + ny y)`` of
+    ``distance_to_boundary`` is monotone in the column, in floating point
+    too (every rounding is monotone), so the points that pass form one
+    interval of columns.  Its ends come from the row's chord of the parallel
+    body at depth ``level``, in closed form from the facets in O(rows x
+    facets) time and O(rows) memory: a point whose exact depth is more
+    than _DEPTH_TIE above ``level`` passes, one more than _DEPTH_TIE below
+    fails, far beyond the roundoff of frame coordinates below 2.  Only the
+    points in between are evaluated, so every decision is the one
+    ``passes`` makes on the point's computed depth.  A row that no point
+    passes gets (n_cols, -1).
+    """
+    iy = np.arange(n_rows)
+    y = iy * (h * np.sqrt(3.0) / 2.0)
+    # row 0 of each array at depth level + _DEPTH_TIE (sure to pass), row 1
+    # at level - _DEPTH_TIE
+    levels = np.array([[level + _DEPTH_TIE], [level - _DEPTH_TIE]])
+    x_lo, x_hi = np.full((2, n_rows), -np.inf), np.full((2, n_rows), np.inf)
+    with np.errstate(over="ignore"):
+        for (nx, ny), offset in zip(p.facet_normals, p.offsets):
+            room = offset - ny * y - levels  # the facet's term passes where nx x <= room
+            if nx < 0:
+                np.maximum(x_lo, room / nx, out=x_lo)
+            elif nx > 0:
+                np.minimum(x_hi, room / nx, out=x_hi)
+            else:
+                x_hi[room < 0] = -np.inf
+    sure_lo, lo = np.clip(np.ceil((x_lo / (h / 2.0) - iy % 2) / 2.0), 0, n_cols).astype(int)
+    sure_hi, hi = np.clip(np.floor((x_hi / (h / 2.0) - iy % 2) / 2.0), -1, n_cols - 1).astype(int)
+    none_sure = sure_lo > sure_hi
+    unsure = [_spans(lo, np.where(none_sure, hi, sure_lo - 1)),
+              _spans(np.where(none_sure, hi + 1, sure_hi + 1), hi)]
+    rows, cols = (np.concatenate(a) for a in zip(*unsure))
+    first = np.where(none_sure, n_cols, sure_lo)
+    last = np.where(none_sure, -1, sure_hi)
+    if len(rows):
+        ok = passes(p.distance_to_boundary(np.column_stack(_lattice_xy(rows, cols, h))), level)
+        np.minimum.at(first, rows[ok], cols[ok])
+        np.maximum.at(last, rows[ok], cols[ok])
+    return first, last
+
+
 def _hex_lattice(p: Polygon, h: float, cap: int):
     """Hexagonal lattice points at depth >= LATTICE_MARGIN * h in a
-    polygon whose bounding-box corner is the origin.
+    polygon whose bounding-box corner is the origin (see ``_lattice_xy``).
 
-    The point of row iy and doubled column j = 2 ix + (iy % 2) sits at
-    (j h / 2, iy h sqrt(3) / 2).  Returns the kept points, whether each
-    lies deeper than the boundary band (depth > _BAND_RINGS * h), and
-    their (iy, j) index pairs.  The rows are built and depth-tested in
-    blocks of at most NODE_CAP points (or one row, if longer); MeshTooFine
-    is raised as soon as more than ``cap`` points are kept, so a refused
-    lattice costs memory in proportion to NODE_CAP, not to its size.
+    The rows cover the bounding box.  Returns the kept points, row by row
+    and in column order; whether each lies deeper than the boundary band
+    (depth > _BAND_RINGS * h); and, as (first, last) column arrays per row,
+    the kept points and the deeper ones (see ``_row_spans``).  The node
+    count follows from the kept spans, so MeshTooFine is raised when it
+    exceeds ``cap`` before any array of the lattice's size exists.
     """
-    dy = h * np.sqrt(3.0) / 2.0
-    ny = int(np.floor(p.vertices[:, 1].max() / dy)) + 1
-    nx = int(np.floor(p.vertices[:, 0].max() / h)) + 1
-    rows = max(1, NODE_CAP // nx)
-    pts, deep, index = [], [], []
-    kept = 0
-    for start in range(0, ny, rows):
-        iy, ix = np.mgrid[start:min(start + rows, ny), 0:nx]
-        block = np.column_stack([iy.ravel(), (2 * ix + iy % 2).ravel()])
-        xy = block[:, ::-1] * np.array([h / 2.0, dy])
-        depth = p.distance_to_boundary(xy)
-        keep = depth >= LATTICE_MARGIN * h
-        kept += int(keep.sum())
-        if kept > cap:
-            raise MeshTooFine(f"mesh would need more than the cap of {NODE_CAP} nodes")
-        pts.append(xy[keep])
-        deep.append(depth[keep] > _BAND_RINGS * h)
-        index.append(block[keep])
-    return np.vstack(pts), np.concatenate(deep), np.vstack(index)
+    n_rows = int(np.floor(p.vertices[:, 1].max() / (h * np.sqrt(3.0) / 2.0))) + 1
+    n_cols = int(np.floor(p.vertices[:, 0].max() / h)) + 1
+    kept = _row_spans(p, h, n_rows, n_cols, LATTICE_MARGIN * h, np.greater_equal)
+    count = int(np.maximum(kept[1] - kept[0] + 1, 0).sum())
+    if count > cap:
+        raise MeshTooFine(f"the lattice needs {count} nodes, above the {cap} "
+                          f"that the node cap {NODE_CAP} leaves")
+    deep = _row_spans(p, h, n_rows, n_cols, _BAND_RINGS * h, np.greater)
+    rows, cols = _spans(*kept)
+    outside = (cols >= deep[0][rows]) & (cols <= deep[1][rows])
+    return np.column_stack(_lattice_xy(rows, cols, h)), outside, kept, deep
 
 
-def _stitch(points: np.ndarray, outside: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _stitch(points: np.ndarray, outside: np.ndarray, h: float, kept, deep) -> np.ndarray:
     """Delaunay triangles of all points, counterclockwise, from one Delaunay
-    of the boundary band and the lattice indices of the rest.
+    of the boundary band and the lattice spans of the rest.
 
     The points start with the boundary samples, at depth <= 0, and end
-    with the lattice nodes of spacing h_lat that ``_hex_lattice`` kept, at
-    depths >= LATTICE_MARGIN h_lat and lattice indices ``index``.
-    ``outside`` marks the lattice nodes deeper than B h_lat, B =
-    _BAND_RINGS; the band holds the rest.  Take a node outside the band;
-    depth is 1-Lipschitz.  Every point within 2 h_lat / sqrt(3) of it (the
-    circumdisks of its six elementary triangles) is deeper than
-    (B - 2 / sqrt(3)) h_lat > 0, so is a lattice node, and no lattice node
-    lies inside the circumdisk of an elementary triangle.  Its six lattice
-    neighbours are deeper than (B - 1) h_lat >= LATTICE_MARGIN h_lat, so
-    the keep test kept them.  The Delaunay star of a node outside the band
-    is thus its six elementary triangles, emitted from the lattice indices.
+    with the lattice nodes of spacing h that ``_hex_lattice`` kept, at
+    depths >= LATTICE_MARGIN h, in the per-row column spans ``kept``.
+    ``outside`` marks the lattice nodes deeper than B h, B = _BAND_RINGS,
+    which lie in the spans ``deep``; the band holds the rest.  Take a node
+    outside the band; depth is 1-Lipschitz.  Every point within 2 h /
+    sqrt(3) of it (the circumdisks of its six elementary triangles) is
+    deeper than (B - 2 / sqrt(3)) h > 0, so is a lattice node, and no
+    lattice node lies inside the circumdisk of an elementary triangle.  Its
+    six lattice neighbours are deeper than (B - 1) h >= LATTICE_MARGIN h,
+    so the keep test kept them.  The Delaunay star of a node outside the
+    band is thus its six elementary triangles (``_lattice_triangles``).
     B = 1.5 meets both bounds with slack, which is needed: beside a facet
     parallel to the lattice columns, lattice depths fall on multiples of
-    h_lat / 2, where both depth tests are decided by roundoff.
+    h / 2, where both depth tests are decided by roundoff.
 
     The triangles with all three nodes in the band are those of the band's
-    Delaunay whose circumdisk holds no node outside the band: a band
-    triangle is kept when the nearest node outside the band is at least
-    its circumradius from its circumcentre.  They come counterclockwise
-    from qhull, as scipy documents for 2-D ``Delaunay.simplices``.
+    Delaunay whose circumdisk holds no node outside the band
+    (``_disks_hold_deep_nodes``).  They come counterclockwise from qhull,
+    as scipy documents for 2-D ``Delaunay.simplices``.
     """
     band = np.flatnonzero(~outside)
     tris = band[Delaunay(points[band]).simplices]
     centre, radius = _circumcircles(points, tris)
-    nearest, _ = cKDTree(points[outside]).query(centre)
-    tris = tris[nearest >= radius]
-    first = len(points) - len(index)
-    return np.vstack([tris, _lattice_triangles(index, first, outside)])
+    tris = tris[~_disks_hold_deep_nodes(centre, radius, h, deep)]
+    return np.vstack([tris, _lattice_triangles(kept, outside)])
 
 
 def _circumcircles(points: np.ndarray, triangles: np.ndarray):
@@ -273,22 +329,70 @@ def _circumcircles(points: np.ndarray, triangles: np.ndarray):
     return a + u, np.hypot(u[:, 0], u[:, 1])
 
 
-def _lattice_triangles(index: np.ndarray, first: int, outside: np.ndarray) -> np.ndarray:
+def _disks_hold_deep_nodes(centre: np.ndarray, radius: np.ndarray, h: float, deep) -> np.ndarray:
+    """Whether each disk holds a lattice node of the per-row column spans
+    ``deep``: a node whose distance sqrt(dx^2 + dy^2) from the centre is
+    below the radius.
+
+    On each row the computed distance falls and then rises along the span,
+    so its minimum is at one of the two nodes beside the centre's x (or at
+    the span's end nearest it); the rows whose y is more than a row spacing
+    beyond the disk cannot hold a node.  The two rows nearest the centre go
+    first: they reject the large disks of the triangles that fill the band's
+    hole, so that only the others sweep every row they cross.
+    """
+    row_gap = h * np.sqrt(3.0) / 2.0
+    n_rows = len(deep[0])
+
+    def probe(disks, row_lo, row_hi):
+        k, iy = _spans(np.clip(row_lo, 0, n_rows).astype(int),
+                       np.clip(row_hi, -1, n_rows - 1).astype(int))
+        (cx, cy), r, lo, hi = centre[disks[k]].T, radius[disks[k]], deep[0][iy], deep[1][iy]
+        left = np.floor((cx / (h / 2.0) - iy % 2) / 2.0)
+        hit = np.zeros(len(k), dtype=bool)
+        for col in (left, left + 1):
+            x, y = _lattice_xy(iy, np.clip(col, lo, hi), h)
+            dx, dy = x - cx, y - cy
+            hit |= np.sqrt(dx * dx + dy * dy) < r
+        held = np.zeros(len(disks), dtype=bool)
+        held[k[hit & (lo <= hi)]] = True
+        return held
+
+    near = np.floor(centre[:, 1] / row_gap)
+    held = probe(np.arange(len(radius)), near, near + 1)
+    rest = np.flatnonzero(~held)
+    held[rest] = probe(rest, np.floor((centre[rest, 1] - radius[rest]) / row_gap),
+                       np.ceil((centre[rest, 1] + radius[rest]) / row_gap))
+    return held
+
+
+def _lattice_triangles(kept, outside: np.ndarray) -> np.ndarray:
     """Counterclockwise elementary triangles of a hexagonal lattice that
     have a node in ``outside``.
 
-    ``index`` holds the (iy, j) pairs of ``_hex_lattice``'s points,
-    numbered from ``first``; the neighbours of a node are (iy, j +- 2)
-    and (iy +- 1, j +- 1).
+    ``kept`` holds the (first, last) columns of ``_hex_lattice``'s points
+    per row; they are the last points that ``outside`` flags, numbered row
+    by row.  Column ix of row iy neighbours ix + 1 on its row and
+    ix + iy % 2 - 1, ix + iy % 2 on the row above.  The "up" triangles
+    (ix, ix + 1 on the row, ix + iy % 2 above) come first, then the "down"
+    ones (ix, then ix + iy % 2 and ix + iy % 2 - 1 above), each in the
+    order of their first node.
     """
-    iy, j = index[:, 0], index[:, 1] + 1  # column 0 is left empty for j - 1
-    grid = np.full((iy.max() + 2, j.max() + 3), -1, dtype=np.intp)
-    ids = first + np.arange(len(index))
-    grid[iy, j] = ids
-    up = np.column_stack([ids, grid[iy, j + 2], grid[iy + 1, j + 1]])
-    down = np.column_stack([ids, grid[iy + 1, j + 1], grid[iy + 1, j - 1]])
+    lo, hi = kept
+    counts = np.maximum(hi - lo + 1, 0)
+    start = len(outside) - counts.sum() + np.cumsum(counts) - counts  # each row's first node
+    shift = np.arange(len(lo) - 1) % 2
+
+    def node(iy, ix):
+        return start[iy] + ix - lo[iy]
+
+    iy, ix = _spans(np.maximum(lo[:-1], lo[1:] - shift), np.minimum(hi[:-1] - 1, hi[1:] - shift))
+    above = ix + shift[iy]
+    up = np.column_stack([node(iy, ix), node(iy, ix + 1), node(iy + 1, above)])
+    iy, ix = _spans(np.maximum(lo[:-1], lo[1:] - shift + 1), np.minimum(hi[:-1], hi[1:] - shift))
+    above = ix + shift[iy]
+    down = np.column_stack([node(iy, ix), node(iy + 1, above), node(iy + 1, above - 1)])
     tris = np.vstack([up, down])
-    tris = tris[np.all(tris >= 0, axis=1)]
     return tris[outside[tris].any(axis=1)]
 
 
@@ -314,9 +418,10 @@ def triangulate(p: Polygon, target_h: float) -> TriMesh:
     bpts, bfacets = _boundary_samples(frame, target_h / (2.0 * unit))
     h_lat = 0.85 * target_h / unit
     nb = len(bpts)
-    lattice, deep, index = _hex_lattice(frame, h_lat, NODE_CAP - nb)
+    lattice, outside, kept, deep = _hex_lattice(frame, h_lat, NODE_CAP - nb)
     points = np.vstack([bpts, lattice])
-    triangles = _stitch(points, np.concatenate([np.zeros(nb, dtype=bool), deep]), index)
+    triangles = _stitch(points, np.concatenate([np.zeros(nb, dtype=bool), outside]), h_lat,
+                        kept, deep)
     edges = np.column_stack([np.arange(nb), (np.arange(nb) + 1) % nb])
     lengths = unit * np.hypot(*(points[edges[:, 1]] - points[edges[:, 0]]).T)
     mesh = TriMesh(corner + unit * points, triangles, edges, bfacets, lengths, target_h, p,

@@ -109,17 +109,19 @@ def test_node_cap(square, monkeypatch):
 
 
 def test_refused_mesh_memory_is_bounded_by_the_cap(square, monkeypatch):
-    # the lattice is built in row blocks and refused as soon as the cap is
-    # passed; building it whole first took 27 MB on this input (258k points)
-    monkeypatch.setattr(mesh_module, "NODE_CAP", 4000)
+    # the node count comes from the lattice's per-row spans, so a mesh above
+    # the cap is refused before any lattice array exists: the boundary
+    # samples and the spans cost O(rows), about 320 bytes a row here, where
+    # one block of NODE_CAP lattice points and their depths takes megabytes
+    monkeypatch.setattr(mesh_module, "NODE_CAP", 100_000)
     tracemalloc.start()
     try:
-        with pytest.raises(MeshTooFine):
-            triangulate(square, 0.005)
+        with pytest.raises(MeshTooFine, match="the lattice needs 6389390 nodes"):
+            triangulate(square, 0.001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 250 * mesh_module.NODE_CAP
+    assert peak <= 1024 * _lattice_rows(square, 0.001)
 
 
 def test_boundary_samples_are_counted_before_they_are_built(unit_square, monkeypatch):
@@ -240,14 +242,45 @@ def _lattice_frame(p):
     return p.vertices.min(axis=0), 2.0 ** np.round(np.log2(np.ptp(p.vertices, axis=0).max()))
 
 
-def _reference_points(p, target_h):
-    """The boundary samples followed by the kept lattice nodes, as
-    ``triangulate`` places them: built in the lattice frame, mapped back."""
+def _frame(p, target_h):
+    """``triangulate``'s frame polygon and lattice spacing."""
     corner, unit = _lattice_frame(p)
-    frame = Polygon((p.vertices - corner) / unit)
-    bpts, _ = mesh_module._boundary_samples(frame, target_h / (2.0 * unit))
-    lattice = mesh_module._hex_lattice(frame, 0.85 * target_h / unit, mesh_module.NODE_CAP)[0]
-    return corner + unit * np.vstack([bpts, lattice])
+    return Polygon((p.vertices - corner) / unit), 0.85 * target_h / unit
+
+
+def _lattice_rows(p, target_h):
+    """The number of lattice rows across the bounding box of ``p``'s frame."""
+    frame, h_lat = _frame(p, target_h)
+    return int(np.floor(frame.vertices[:, 1].max() / (h_lat * np.sqrt(3.0) / 2.0))) + 1
+
+
+def _reference_lattice(frame, h_lat):
+    """The lattice points of spacing h_lat at depth >= LATTICE_MARGIN h_lat
+    in a frame polygon, and whether each lies deeper than the band, by
+    definition: ``distance_to_boundary`` at every point of a lattice that
+    covers the bounding box, row by row."""
+    dy = h_lat * np.sqrt(3.0) / 2.0
+    iy, ix = (a.ravel() for a in np.mgrid[0:int(frame.vertices[:, 1].max() / dy) + 2,
+                                          0:int(frame.vertices[:, 0].max() / h_lat) + 2])
+    xy = np.column_stack([(2 * ix + iy % 2) * (h_lat / 2.0), iy * dy])
+    depth = frame.distance_to_boundary(xy)
+    keep = depth >= mesh_module.LATTICE_MARGIN * h_lat
+    return xy[keep], depth[keep] > mesh_module._BAND_RINGS * h_lat
+
+
+def _reference_frame_points(p, target_h):
+    """The boundary samples followed by the kept lattice nodes in
+    ``triangulate``'s frame, and whether each is deeper than the band."""
+    frame, h_lat = _frame(p, target_h)
+    bpts, _ = mesh_module._boundary_samples(frame, target_h / (2.0 * _lattice_frame(p)[1]))
+    lattice, outside = _reference_lattice(frame, h_lat)
+    return np.vstack([bpts, lattice]), np.concatenate([np.zeros(len(bpts), dtype=bool), outside])
+
+
+def _reference_points(p, target_h):
+    """The nodes ``triangulate`` places: ``_reference_frame_points`` mapped back."""
+    corner, unit = _lattice_frame(p)
+    return corner + unit * _reference_frame_points(p, target_h)[0]
 
 
 def _triangle_set(triangles):
@@ -261,8 +294,8 @@ def _sliver_sum():
     return minkowski_sum(corpus[2], scale(corpus[3], 0.005))
 
 
-@pytest.mark.parametrize("rel", [0.01, 0.02, 0.04])
-def test_band_stitching_matches_full_delaunay(rel):
+def _stitching_bodies(rel):
+    """The bodies whose band stitching the tests check at relative spacing rel."""
     rng = np.random.default_rng(3)
     bodies = [_turned(p, rng.uniform(0.0, 2.0 * np.pi))
               for p in polygon_corpus(seed=42, count=3)]
@@ -274,7 +307,12 @@ def test_band_stitching_matches_full_delaunay(rel):
     bodies += [corpus[1], corpus[36]]
     if rel == 0.02:
         bodies.append(_sliver_sum())
-    for p in bodies:
+    return bodies
+
+
+@pytest.mark.parametrize("rel", [0.01, 0.02, 0.04])
+def test_band_stitching_matches_full_delaunay(rel):
+    for p in _stitching_bodies(rel):
         h = rel * metrics(p).circumradius
         m = triangulate(p, h)
         ref = _reference_points(p, h)
@@ -284,7 +322,7 @@ def test_band_stitching_matches_full_delaunay(rel):
 
 
 def test_triangulate_runs_no_full_delaunay(monkeypatch, square):
-    calls, depth_calls = [], []
+    calls, depth_points = [], []
     depth = Polygon.distance_to_boundary
 
     def counting_delaunay(points):
@@ -292,7 +330,7 @@ def test_triangulate_runs_no_full_delaunay(monkeypatch, square):
         return Delaunay(points)
 
     def counting_depth(self, points):
-        depth_calls.append(len(points))
+        depth_points.append(len(points))
         return depth(self, points)
 
     monkeypatch.setattr(mesh_module, "Delaunay", counting_delaunay)
@@ -300,17 +338,74 @@ def test_triangulate_runs_no_full_delaunay(monkeypatch, square):
     disk = regular_polygon(64)
     m = triangulate(disk, 0.02)
     assert len(calls) == 1
-    assert len(depth_calls) == 1  # the lattice's depths; the band needs none
     assert len(calls[0]) < m.n_nodes
     # the band's final nodes, in the lattice frame
     corner, unit = _lattice_frame(disk)
     final = {tuple(x) for x in m.nodes}
     assert all(tuple(x) in final for x in corner + unit * calls[0])
 
+    # depths are evaluated only where a row's chord ends in a roundoff tie:
+    # O(rows) points, not the bounding-box lattice's O(rows^2); the square's
+    # side facets put lattice points at exactly 1.5 lattice spacings deep
+    for p in (disk, square):
+        depth_points.clear()
+        triangulate(p, 0.02 * metrics(p).circumradius)
+        assert sum(depth_points) <= 2 * _lattice_rows(p, 0.02 * metrics(p).circumradius)
+    assert sum(depth_points) > 0
+
     calls.clear()  # coarse: the band holds every node and is the whole mesh
     coarse = triangulate(square, 0.7)
     assert [len(pts) for pts in calls] == [coarse.n_nodes]
     assert check_mesh(coarse).ok
+
+
+@pytest.mark.parametrize("rel", [0.01, 0.02, 0.04])
+def test_lattice_flags_and_band_test_match_brute_force(rel):
+    # the oracle: depths over the whole bounding-box lattice, and a KD-tree
+    # query of each band circumcentre against the nodes deeper than the band;
+    # random disks, many far from the band, also reach its row sweep
+    rng = np.random.default_rng(7)
+    turned = [_turned(p, 0.7 * k) for k, p in enumerate(polygon_corpus(seed=42, count=10))]
+    for p in _stitching_bodies(rel) + _symmetric_bodies() + turned:
+        target_h = rel * metrics(p).circumradius
+        frame, h_lat = _frame(p, target_h)
+        lattice, outside, _, deep = mesh_module._hex_lattice(frame, h_lat, mesh_module.NODE_CAP)
+        ref, ref_outside = _reference_lattice(frame, h_lat)
+        assert np.array_equal(lattice, ref) and np.array_equal(outside, ref_outside)
+        centre = rng.uniform(-0.5, 2.0, size=(300, 2))
+        radius = np.exp(rng.uniform(np.log(0.2 * h_lat), np.log(2.0), size=300))
+        held = mesh_module._disks_hold_deep_nodes(centre, radius, h_lat, deep)
+        assert np.array_equal(held, cKDTree(ref[ref_outside]).query(centre)[0] < radius)
+
+        points, outside = _reference_frame_points(p, target_h)
+        band = np.flatnonzero(~outside)
+        tris = band[Delaunay(points[band]).simplices]
+        centre, radius = mesh_module._circumcircles(points, tris)
+        empty = cKDTree(points[outside]).query(centre)[0] >= radius
+        triangles = triangulate(p, target_h).triangles
+        assert np.array_equal(triangles[~outside[triangles].any(axis=1)], tris[empty])
+
+
+def test_lattice_ties_are_decided_by_the_computed_depth():
+    # a side facet at a = x - LATTICE_MARGIN h leaves the points of column
+    # x = 20 h / 2 about 5e-18 deeper than the keep level: kept by the depth
+    # scan, and closer to the level than the chords can decide
+    h = 2.0 ** -6
+    x = 20 * (h / 2.0)
+    a = x - mesh_module.LATTICE_MARGIN * h
+    frame = Polygon.from_vertices(np.array([[a, 0.0], [1.0, 0.0], [1.0, 1.0], [a, 1.0]]))
+    lattice, outside = mesh_module._hex_lattice(frame, h, mesh_module.NODE_CAP)[:2]
+    ref, ref_outside = _reference_lattice(frame, h)
+    assert np.array_equal(lattice, ref) and np.array_equal(outside, ref_outside)
+    assert lattice[:, 0].min() == x
+
+
+def test_band_depth_meets_the_stitching_proof():
+    # _stitch's proof: the circumdisks (radius 2 h / sqrt(3)) of the six
+    # triangles around a node deeper than the band hold only lattice nodes,
+    # and its six neighbours (h away) pass the keep test
+    assert mesh_module._BAND_RINGS > 2.0 / np.sqrt(3.0)
+    assert mesh_module._BAND_RINGS >= 1.0 + mesh_module.LATTICE_MARGIN
 
 
 @pytest.mark.parametrize("rel, failing", [(0.02, set()), (0.04, {30, 35}), (0.01, set())])
