@@ -43,7 +43,7 @@ from .support_geometry import (
     scale,
     support_values,
 )
-from .torsion_fem import TorsionField, solve_nested
+from .torsion_fem import TorsionField, solve_refined, solve_torsion
 
 CLOSURE_BUDGET = 0.02  # relative first-moment defect allowed for a measure
 
@@ -169,12 +169,14 @@ def _tau_refined(p: Polygon, target_h: float):
     converges as O(h^2) on the nested pair, so the extrapolation knocks
     the error down by roughly two more orders; the finite-difference
     Hadamard probe needs that accuracy because it divides tau
-    differences by small step sizes.  ``solve_nested`` solves the pair:
-    the refined solve's multigrid has the mesh itself as its first
-    coarse level, reusing the mesh solve's levels below it, and its CG
-    starts from the mesh solution interpolated at the edge midpoints.
+    differences by small step sizes.  ``solve_refined`` solves the
+    refinement on the mesh solve's field: its multigrid has the mesh
+    itself as its first coarse level, reusing the mesh solve's levels
+    below it, and its CG starts from the mesh solution interpolated at
+    the edge midpoints.
     """
-    coarse, fine = solve_nested(triangulate(p, target_h))
+    coarse = solve_torsion(triangulate(p, target_h))
+    fine = solve_refined(coarse)
     tau = (4.0 * fine.tau_energy - coarse.tau_energy) / 3.0
     return tau, fine
 

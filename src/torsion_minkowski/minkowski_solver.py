@@ -30,15 +30,15 @@ A pair without positive curvature (s . y <= 0) leaves H unchanged.
 
 The descent runs in two stages.  Both mesh B[h] at the coarse spacing
 min(2 mesh_h R, r / 2), R and r being its circumradius and inradius.  The
-coarse stage evaluates on that mesh; the fine stage solves the mesh and
-its uniform refinement as one nested pair (``solve_nested``) and
-evaluates on the refined field, so its spacing is min(mesh_h R, r / 4)
-and no fine-spacing mesh is ever built.  The pair's difference gives the
-fine stage's measure error estimate at no extra solve.  Every stage ends
-by one rule: the l1 residual falls to the stage's bar (max(3 tol, 0.03)
-when coarse, tol when fine), or the line search stalls.  The coarse
-stage hands its iterate and H to the fine one; the fine stage's end is
-the solve's.
+coarse stage evaluates on that mesh; the fine stage refines the coarse
+evaluation's field (``solve_refined``) and evaluates on the refined
+field, so its spacing is min(mesh_h R, r / 4) and no fine-spacing mesh
+is ever built.  The measures of the coarse evaluation and its refinement
+give the fine stage's measure error estimate at no extra solve.  Every
+stage ends by one rule: the l1 residual falls to the stage's bar
+(max(3 tol, 0.03) when coarse, tol when fine), or the line search
+stalls.  The coarse stage hands its iterate and H to the fine one; the
+fine stage's end is the solve's.
 
 The descent runs on the target scaled by 2^-k, k = round(log2 sum c).  A
 power-of-two scaling is exact in floating point, so targets that differ
@@ -51,8 +51,8 @@ Each accepted iterate is recentred so its Steiner point sits at the
 origin, removing the translation null direction a balanced target
 induces.  A translation changes neither J nor its gradient, so the
 secant pair is taken from the accepted step before recentring, and the
-first fine evaluation reuses the last coarse one's mesh, of the iterate
-before its recentring.
+first fine evaluation refines the last coarse evaluation's field, of the
+iterate before its recentring: every mesh is solved once.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .errors import (
     UnbalanceableMeasure,
     UnboundedBody,
 )
-from .mesh import REL_MESH_H, TriMesh, triangulate
+from .mesh import REL_MESH_H, triangulate
 from .support_geometry import (
     Polygon,
     SupportSpec,
@@ -86,7 +86,7 @@ from .support_geometry import (
     seeded_rng,
     steiner_point,
 )
-from .torsion_fem import TorsionField, solve_nested, solve_torsion
+from .torsion_fem import TorsionField, solve_refined, solve_torsion
 
 BOUNDS_SLACK = 50.0  # iterates may drift this far from the first iterate's scale
 UNIQUENESS_TOL = 0.03  # worst pairwise Hausdorff distance / circumradius allowed
@@ -159,32 +159,39 @@ class ObjectiveEval:
     the target weights — the quantity the solve is judged by.
     ``rep_residual`` is the relative defect of tau = (1/4) sum h_i mu_i,
     which tracks the discretization error; ``nodes`` counts the nodes of
-    ``mesh``, the mesh the torsion field was solved on.  Both are
-    invariant under dilation.  ``cg_iterations`` counts the torsion
-    solve's CG iterations.  ``measure_error_estimate``, set when the field
-    is the refined field of a nested pair, is
-    ||mu_f - mu_c||_1 / (3 ||mu_f||_1) over the pair's measures, and None
-    otherwise.
+    the mesh ``field`` was solved on.  Both are invariant under dilation.
+    ``h`` is the support vector evaluated, ``polygon`` its body B[h] and
+    ``cg_iterations`` the torsion solve's CG iterations.
+    ``measure_error_estimate``, set when ``field`` refines a coarse
+    evaluation's field, is ||mu_f - mu_c||_1 / (3 ||mu_f||_1) over the
+    two measures, and None otherwise.
     """
 
     J: float
     grad_J: np.ndarray
     tau: float
     mu: SurfaceMeasure
-    polygon: Polygon
+    h: SupportSpec
     phi: float
     residual: float
     rep_residual: float
-    mesh: TriMesh = field(repr=False)
-    cg_iterations: int
+    field: TorsionField = field(repr=False)
     measure_error_estimate: float | None
 
     def __post_init__(self):
         _own(self, grad_J=self.grad_J)
 
     @property
+    def polygon(self) -> Polygon:
+        return build_polytope(self.h)
+
+    @property
     def nodes(self) -> int:
-        return self.mesh.n_nodes
+        return self.field.mesh.n_nodes
+
+    @property
+    def cg_iterations(self) -> int:
+        return self.field.cg_iterations
 
 
 def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float) -> ObjectiveEval:
@@ -200,10 +207,10 @@ def objective(h: SupportSpec, target: TargetMeasure, mesh_h: float) -> Objective
 
 
 def _objective_from_field(h: SupportSpec, target: TargetMeasure, fld: TorsionField,
-                          coarse: TorsionField | None = None) -> ObjectiveEval:
+                          coarse: ObjectiveEval | None = None) -> ObjectiveEval:
     """``objective``'s arithmetic on a torsion field of B[h]; ``coarse``,
-    the mesh field of a nested pair whose refined field is ``fld``, adds
-    the measure error estimate."""
+    the evaluation at h whose field ``fld`` refines, adds the measure
+    error estimate."""
     c = target.weights
     mu = torsion_measure(fld, h, budget=np.inf)
     tau = fld.tau_energy
@@ -212,13 +219,17 @@ def _objective_from_field(h: SupportSpec, target: TargetMeasure, fld: TorsionFie
     grad = c * tau ** (-0.25) - 0.25 * phi * tau ** (-1.25) * mu.weights
     scale_cubed = phi / (4.0 * tau)
     residual = float(np.abs(scale_cubed * mu.weights - c).sum() / c.sum())
-    estimate = None
-    if coarse is not None:
-        mu_c = torsion_measure(coarse, h, budget=np.inf)
-        estimate = float(np.abs(mu.weights - mu_c.weights).sum() / (3.0 * mu.total_mass))
-    return ObjectiveEval(J, grad, tau, mu, build_polytope(h), phi, residual,
-                         representation_residual(fld, h, mu), fld.mesh, fld.cg_iterations,
-                         estimate)
+    estimate = None if coarse is None else float(
+        np.abs(mu.weights - coarse.mu.weights).sum() / (3.0 * mu.total_mass))
+    return ObjectiveEval(J, grad, tau, mu, h, phi, residual,
+                         representation_residual(fld, h, mu), fld, estimate)
+
+
+def _refined(target: TargetMeasure, coarse: ObjectiveEval) -> ObjectiveEval:
+    """The fine-stage evaluation at ``coarse.h``: ``objective``'s
+    arithmetic on the refinement of ``coarse``'s field, whose measure
+    gives the error estimate."""
+    return _objective_from_field(coarse.h, target, solve_refined(coarse.field), coarse)
 
 
 @dataclass(frozen=True)
@@ -283,8 +294,7 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     A line search runs from every iterate whose l1 residual is above its
     stage's bar (see the module docstring); a stage ends at an iterate at
     or below the bar, or when the search stalls.  The end of the coarse
-    stage re-evaluates its iterate as a nested pair on the mesh of its
-    last coarse evaluation.
+    stage refines the field of its last evaluation.
 
     The report is the last fine-stage evaluation, dilated in closed form;
     only the loop decides ``converged``.  ``diagnostics["stop_reason"]``
@@ -317,7 +327,6 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
     failure = None  # message of a NoConvergence exit
     iters = 0
 
-    ev_h = h  # the support vector ev was evaluated at: h before its recentring
     ev = _eval(h, target, opts, fine)
     calls = 1  # objective evaluations
     while iters < opts.max_iters:
@@ -353,22 +362,22 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
                     empty += 1
                 else:
                     if trial_ev.J <= ev.J + 5e-5 * step * slope:
-                        accepted = (trial, trial_ev)
+                        accepted = trial_ev
                         break
                 backtracks += 1
                 step *= 0.5
             log[-1].update(backtracks=backtracks, empty_interior=empty, direction=kind)
         if accepted is not None:
-            ev_h, ev = accepted
+            ev = accepted
             H = _bfgs_update(H, step * direction, ev.grad_J - g)
-            h = ev_h.translated(-steiner_point(ev.polygon))
+            h = ev.h.translated(-steiner_point(ev.polygon))
         elif fine:  # residual at the bar, or a stall at the discretization floor
             stop = "residual" if ev.residual <= opts.tol else "line_search_stall"
             break
-        else:  # coarse residual at its bar, or a coarse stall: go fine on ev's mesh
+        else:  # coarse residual at its bar, or a coarse stall: refine ev's field
             fine = True
             calls += 1
-            ev = _eval(ev_h, target, opts, fine, ev.mesh)
+            ev = _refined(target, ev)
         iters += 1
     else:
         stop = "iteration_cap"
@@ -391,8 +400,7 @@ def solve_minkowski(target: TargetMeasure, opts: SolveOptions | None = None) -> 
             f"target weights too large: the solution's rigidity overflows (dilation {s:.3g})")
     h = h.with_values(s * h.values)
     mu = SurfaceMeasure(ev.mu.normals, s ** 3 * ev.mu.weights).validate()
-    final = replace(ev, grad_J=ev.grad_J / s, tau=tau, mu=mu,
-                    polygon=build_polytope(h), phi=s * ev.phi)
+    final = replace(ev, grad_J=ev.grad_J / s, tau=tau, mu=mu, h=h, phi=s * ev.phi)
     log.append(_log_row(iters, final, metrics(final.polygon), 0.0, k))
     return _report(h, final, log, iters, stop, calls, k)
 
@@ -411,26 +419,21 @@ def _bfgs_update(H, s: np.ndarray, y: np.ndarray):
     return V @ H @ V.T + np.outer(s, s) / sy
 
 
-def _eval(h: SupportSpec, target: TargetMeasure, opts: SolveOptions, fine: bool,
-          mesh: TriMesh | None = None) -> ObjectiveEval:
+def _eval(h: SupportSpec, target: TargetMeasure, opts: SolveOptions,
+          fine: bool) -> ObjectiveEval:
     """Evaluate the objective at B[h] in the coarse or the fine stage.
 
     Both stages mesh B[h] at the coarse spacing; the fine stage then
-    evaluates on the refined field of ``solve_nested``.  ``mesh``, a
-    coarse-stage mesh of B[h], is reused instead of meshing again.
+    refines that evaluation (``_refined``).
     """
-    if mesh is None:
-        m = metrics(build_polytope(h))
-        # triangulate needs a spacing below the inradius.  Capping it at half
-        # the inradius binds where R / r exceeds 0.25 / mesh_h (12.5 at the
-        # default mesh_h), in both stages; the refined spacing of the fine
-        # stage is then r / 4, finer than a mesh at mesh_h R capped at r / 2.
-        spacing = min(2.0 * opts.mesh_h * m.circumradius, 0.5 * m.inradius)
-        if not fine:
-            return objective(h, target, spacing)
-        mesh = triangulate(build_polytope(h), spacing)
-    coarse, refined = solve_nested(mesh)
-    return _objective_from_field(h, target, refined, coarse)
+    m = metrics(build_polytope(h))
+    # triangulate needs a spacing below the inradius.  Capping it at half
+    # the inradius binds where R / r exceeds 0.25 / mesh_h (12.5 at the
+    # default mesh_h), in both stages; the refined spacing of the fine
+    # stage is then r / 4, finer than a mesh at mesh_h R capped at r / 2.
+    spacing = min(2.0 * opts.mesh_h * m.circumradius, 0.5 * m.inradius)
+    ev = objective(h, target, spacing)
+    return _refined(target, ev) if fine else ev
 
 
 def _log_row(iteration: int, ev: ObjectiveEval, m, step: float, k: int) -> dict:

@@ -8,7 +8,7 @@ each node's share of the integral of the constant 2).  Their gap is no
 check on the linear algebra: CG started from zero keeps
 u . (K u - load) = 0 up to roundoff, since each iterate lies in the
 Krylov space its residual is orthogonal to, so the gap stays near 1e-15
-however far the residual is from the tolerance (from ``solve_nested``'s
+however far the residual is from the tolerance (from ``solve_refined``'s
 nonzero start it is a weak proxy at best).  The check is the residual
 test every solve ends with (``_field``); the mass estimator and the gap
 stay on the field because the benchmark reads the gap.  The field also
@@ -28,15 +28,18 @@ restriction R = P^T kept per level, and the coarsest level, of at most
 small gets no levels, so the V-cycle is its exact solve and CG stops after
 one iteration.  The iteration count stays flat as the mesh is refined.
 
-``solve_nested`` solves a mesh and then its uniform refinement (the
-Hadamard check's Richardson pair) without aggregating the refined mesh.
-The refined V-cycle's first level prolongs by the P1 interpolation of
-``refine``'s numbering (a parent node keeps its value, an edge midpoint
-takes the mean of its ends), restricted to interior nodes; since the
-spaces are nested, R K_fine P is the mesh's own interior system, so the
-mesh solve's levels and Cholesky factor serve unchanged below it.  CG
-starts from the prolonged mesh solution and stops at the same residual
-LINEAR_TOL ||b|| as from zero.
+``solve_torsion`` keeps its interior system and multigrid hierarchy on
+the field it returns, and ``solve_refined`` solves that field's mesh's
+uniform refinement (the Hadamard check's Richardson pair, the inverse
+solver's fine stage) without aggregating the refined mesh.  The refined
+V-cycle's first level prolongs by the P1 interpolation of ``refine``'s
+numbering (a parent node keeps its value, an edge midpoint takes the
+mean of its ends), restricted to interior nodes; since the spaces are
+nested, R K_fine P is the mesh's own interior system, so the mesh
+solve's levels and Cholesky factor serve unchanged below it.  CG starts
+from the prolonged mesh solution and stops at the same residual
+LINEAR_TOL ||b|| as from zero.  A refined field keeps no hierarchy, so
+it cannot be refined again.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import LinearSolveFailure, MaximumPrincipleViolation
+from .errors import InvariantViolation, LinearSolveFailure, MaximumPrincipleViolation
 from .mesh import TriMesh, _p1_basis, refine, triangulate
 from .support_geometry import Polygon, _check_count, _own, seeded_rng
 
@@ -81,7 +84,9 @@ class TorsionField:
     ``operator_complexity`` is the stored-entry count of all level
     operators, the coarsest included, over that of the interior system.
     ``u`` and ``reaction`` are read-only copies of the constructor's
-    arguments.
+    arguments.  ``solve_torsion`` keeps the solve's interior system and
+    multigrid hierarchy in ``_multigrid`` for ``solve_refined``; any
+    other field holds None there.
     """
 
     mesh: TriMesh
@@ -93,6 +98,7 @@ class TorsionField:
     cg_iterations: int
     levels: int
     operator_complexity: float
+    _multigrid: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _own(self, u=self.u, reaction=self.reaction)
@@ -265,19 +271,15 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     V-cycle (see the module docstring).  Raises LinearSolveFailure if the
     iteration cap is hit or the final residual is above tolerance, and
     MaximumPrincipleViolation if any interior value comes out
-    non-positive (a symptom of a bad mesh).
+    non-positive (a symptom of a bad mesh).  The field keeps the interior
+    system's ``(idx, Kii, levels, coarse)`` for ``solve_refined``.
     """
-    return _solve(mesh)[0]
-
-
-def _solve(mesh: TriMesh):
-    """``solve_torsion``'s solve; returns the field and the interior
-    system's ``(idx, Kii, levels, coarse)``."""
     K, b, idx, Kii = _system(mesh)
     levels, coarse, complexity = _hierarchy(Kii, mesh.nodes[idx], mesh.target_h)
     ui, iterations = _pcg(Kii, b[idx], lambda r: _vcycle(levels, coarse, r))
     field = _field(mesh, K, b, idx, Kii, ui, iterations, len(levels), complexity)
-    return field, (idx, Kii, levels, coarse)
+    object.__setattr__(field, "_multigrid", (idx, Kii, levels, coarse))
+    return field
 
 
 def _prolongation(mesh: TriMesh, idx: np.ndarray, fine_idx: np.ndarray) -> sp.csr_matrix:
@@ -303,31 +305,34 @@ def _prolongation(mesh: TriMesh, idx: np.ndarray, fine_idx: np.ndarray) -> sp.cs
     return sp.csr_matrix((weight[keep], cols[keep], indptr), shape=(len(fine_idx), len(idx)))
 
 
-def solve_nested(mesh: TriMesh) -> tuple[TorsionField, TorsionField]:
-    """Solve the torsion problem on a mesh and on its uniform refinement.
+def solve_refined(f: TorsionField) -> TorsionField:
+    """Solve the torsion problem on the uniform refinement of a
+    ``solve_torsion`` field's mesh.
 
-    The first solve is ``solve_torsion(mesh)``.  The second builds no
-    aggregation levels: its V-cycle's first level is the refined
-    interior system with the geometric prolongation P of ``refine``'s
-    numbering (``_prolongation``) and R = P^T, and below it run the
-    first solve's levels and coarsest factor unchanged.  For nested P1
+    The solve builds no aggregation levels: its V-cycle's first level is
+    the refined interior system with the geometric prolongation P of
+    ``refine``'s numbering (``_prolongation``) and R = P^T, and below it
+    run ``f``'s levels and coarsest factor unchanged.  For nested P1
     spaces R K_fine P is the coarse interior system, so this is a
-    Galerkin hierarchy.  CG starts from the prolonged coarse solution
-    and stops at the same residual LINEAR_TOL ||b|| as from zero.
-    Returns (coarse field, fine field); the fine field's ``levels`` is
-    the coarse field's plus one, and its ``operator_complexity`` counts
-    the reused levels.  Raises as ``solve_torsion`` does.
+    Galerkin hierarchy.  CG starts from the prolonged solution ``f.u``
+    and stops at the same residual LINEAR_TOL ||b|| as from zero.  The
+    refined field's ``levels`` is ``f``'s plus one, its
+    ``operator_complexity`` counts the reused levels, and it keeps no
+    hierarchy.  Raises InvariantViolation if ``f`` keeps none (it was
+    not returned by ``solve_torsion``), and otherwise as
+    ``solve_torsion`` does.
     """
-    first, (idx, Kii, levels, coarse) = _solve(mesh)
-    fine = refine(mesh)
+    if f._multigrid is None:
+        raise InvariantViolation("a refined field keeps no multigrid hierarchy to reuse")
+    idx, Kii, levels, coarse = f._multigrid
+    fine = refine(f.mesh)
     K, b, fine_idx, Aii = _system(fine)
-    P = _prolongation(mesh, idx, fine_idx)
+    P = _prolongation(f.mesh, idx, fine_idx)
     nested = [(Aii, SMOOTH_OMEGA / Aii.diagonal(), P, P.T.tocsr())] + levels
     ui, iterations = _pcg(Aii, b[fine_idx], lambda r: _vcycle(nested, coarse, r),
-                          x0=P @ first.u[idx])
-    complexity = 1.0 + first.operator_complexity * Kii.nnz / Aii.nnz
-    second = _field(fine, K, b, fine_idx, Aii, ui, iterations, len(nested), complexity)
-    return first, second
+                          x0=P @ f.u[idx])
+    complexity = 1.0 + f.operator_complexity * Kii.nnz / Aii.nnz
+    return _field(fine, K, b, fine_idx, Aii, ui, iterations, len(nested), complexity)
 
 
 def solve_on_polygon(p: Polygon, target_h: float) -> TorsionField:

@@ -17,10 +17,11 @@ is relative to the circumradius and ``triangulate`` meshes in the
 polygon's lattice frame, so the mesh of a dilated body is the dilated
 mesh, node for node, and the discrete rigidity and measure scale exactly.
 A dilation by a power of two leaves the frame coordinates bit-identical.
-On ``polygon_corpus(42, 6)`` the defects are exactly 0 at s = 2 and at
-most 7.5e-14 at s = 1.7 and 3.  ``HOMOGENEITY_TOL`` is therefore no
-discretization budget: it catches only a stage that stops commuting
-with dilations, such as an absolute spacing.
+On ``polygon_corpus(42, 50)`` the defects are exactly 0 at s = 2 and
+0.5 and at most 1.1e-13 at s = 1.7 and 2.9e-13 at s = 3.
+``HOMOGENEITY_TOL`` is therefore a roundoff budget, not a discretization
+one: a stage that stops commuting with dilations, such as an absolute
+spacing, fails it, and so does a relative defect of 1e-9.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .torsion_fem import solve_on_polygon
 BM_SLACK = 0.005  # relative concavity defect tolerated
 BM_EQUALITY_TOL = 0.01  # relative defect allowed on translate/dilate pairs
 MODULUS_FACTOR = 10.0  # continuity budget L = MODULUS_FACTOR * tau_1 / inradius
-HOMOGENEITY_TOL = 0.01
+HOMOGENEITY_TOL = 1e-12  # relative defect of either ratio: a roundoff budget
 MAX_ASPECT = 10.0 / 3.0  # corpus bodies have circumradius / inradius at most this
 HOMOTHETIC_TOL = 1e-9  # Hausdorff misfit of the fitted similarity, over sqrt(area)
 CORPUS_SIZE = 50  # bodies in the run_verify_corpus battery

@@ -332,8 +332,8 @@ def test_coarse_stage_ends_on_the_l1_residual_alone(monkeypatch, square_target):
 def test_each_evaluation_computes_one_inradius(monkeypatch):
     # metrics is kept on each polygon and build_polytope on each spec, so
     # an objective evaluation computes the inradius once, not up to 3 times;
-    # the first fine evaluation reuses the last coarse one's mesh and
-    # computes none, and the reported body's metrics compute one more
+    # the first fine evaluation refines the last coarse one's field outside
+    # _eval and computes none, and the reported body's metrics compute one more
     target, _ = corpus_measure_target(7)
     counts = {"inradius": 0, "evals": 0}
     inradius, evaluate = support_geometry._inradius, minkowski_solver._eval
@@ -350,21 +350,18 @@ def test_each_evaluation_computes_one_inradius(monkeypatch):
     monkeypatch.setattr(minkowski_solver, "_eval", counting_eval)
     rep = solve_minkowski(target, SolveOptions())
     assert counts["evals"] > 0
-    assert counts["inradius"] == counts["evals"]
-    assert rep.diagnostics["objective_calls"] == counts["evals"]
+    assert counts["inradius"] == counts["evals"] + 1
+    assert rep.diagnostics["objective_calls"] == counts["evals"] + 1
 
 
 def test_solve_reports_the_dilated_last_evaluation(monkeypatch, square_target):
-    calls = {"n": 0}
-    evaluate = minkowski_solver._eval
-
-    def counting_eval(*args, **kwargs):
-        calls["n"] += 1
-        return evaluate(*args, **kwargs)
-
-    monkeypatch.setattr(minkowski_solver, "_eval", counting_eval)
+    evals = _recording(monkeypatch, minkowski_solver, "_eval")
+    refined = _recording(monkeypatch, minkowski_solver, "_refined")
     rep = solve_minkowski(square_target, SolveOptions())
-    assert calls["n"] == 2  # the coarse and the fine evaluation of h = 1
+    # the coarse evaluation of h = 1, and the switch's refinement of it
+    ((_, coarse), _), = refined
+    (_, first), = evals
+    assert coarse is first
     before, last = rep.diagnostics["iterations_log"][-2:]
     assert last["residual"] == before["residual"] and last["J"] == before["J"]
     s = last["circumradius"] / before["circumradius"]
@@ -399,16 +396,16 @@ def _coarse_spacing(p: Polygon) -> float:
 
 def test_fine_stage_refines_the_coarse_stage_mesh(monkeypatch):
     # every mesh is built at the coarse spacing; each fine evaluation
-    # refines one, and the first reuses the last coarse evaluation's mesh
+    # refines the field of a coarse one, the first that of the last
+    # coarse-stage evaluation
     target, _ = corpus_measure_target(7)
-    evals = _recording(monkeypatch, minkowski_solver, "_eval")
+    fine = _recording(monkeypatch, minkowski_solver, "_refined")
     meshes = _recording(monkeypatch, minkowski_solver, "triangulate")
     refined = _recording(monkeypatch, torsion_fem, "refine")
     rep = solve_minkowski(target, SolveOptions())
     assert rep.converged
     assert len(meshes) == rep.diagnostics["objective_calls"] - 1
     assert all(spacing == _coarse_spacing(polygon) for (polygon, spacing), _ in meshes)
-    fine = [(args, ev) for args, ev in evals if args[3]]
     assert len(refined) == len(fine) >= 2
     log = rep.diagnostics["iterations_log"]
     assert log[0]["measure_error_estimate"] is None
@@ -416,23 +413,38 @@ def test_fine_stage_refines_the_coarse_stage_mesh(monkeypatch):
     for row in log:
         if row["measure_error_estimate"] is None:
             continue
-        (h, *_), ev = next((args, ev) for args, ev in fine if ev.residual == row["residual"])
-        body = build_polytope(h)
+        (_, coarse), ev = next((args, ev) for args, ev in fine if ev.residual == row["residual"])
+        body = build_polytope(coarse.h)
+        assert ev.h is coarse.h
         assert row["nodes"] == ev.nodes == refine(triangulate(body, _coarse_spacing(body))).n_nodes
 
 
 def test_switch_evaluation_matches_a_fresh_nested_evaluation(monkeypatch):
-    # the switch evaluates the last coarse iterate before its recentring,
-    # on its coarse mesh; meshing commutes with the translation
+    # the switch refines the last coarse evaluation, of the iterate before
+    # its recentring; meshing is deterministic, so a fine evaluation from
+    # scratch at the same spec is bit-equal to it
     target, _ = corpus_measure_target(7)
     evaluate = minkowski_solver._eval
     evals = _recording(monkeypatch, minkowski_solver, "_eval")
+    refined = _recording(monkeypatch, minkowski_solver, "_refined")
     solve_minkowski(target, SolveOptions())
-    ((h, scaled, opts, fine, mesh), switch), = [e for e in evals if len(e[0]) == 5]
-    assert fine and mesh.polygon is build_polytope(h)
-    fresh = evaluate(h.translated(-steiner_point(build_polytope(h))), scaled, opts, True)
-    assert switch.J == pytest.approx(fresh.J, rel=1e-12, abs=0.0)
-    assert switch.tau == pytest.approx(fresh.tau, rel=1e-12, abs=0.0)
+    (scaled, coarse), switch = refined[0]
+    assert any(ev is coarse and not fine for (_, _, _, fine), ev in evals)
+    fresh = evaluate(coarse.h, scaled, SolveOptions(), True)
+    assert switch.J == fresh.J and switch.tau == fresh.tau
+    assert np.array_equal(switch.mu.weights, fresh.mu.weights)
+    assert switch.measure_error_estimate == fresh.measure_error_estimate
+
+
+def test_no_mesh_is_assembled_twice(monkeypatch, square_target):
+    # each mesh is solved once: the switch refines the last coarse field
+    # instead of solving its mesh again; the recorded calls hold every
+    # mesh, so no id is recycled
+    assembled = _recording(monkeypatch, torsion_fem, "assemble")
+    solve_minkowski(corpus_measure_target(7)[0], SolveOptions())
+    solve_minkowski(square_target, SolveOptions())
+    ids = [id(mesh) for (mesh,), _ in assembled]
+    assert len(ids) > 2 and len(set(ids)) == len(ids)
 
 
 def test_fine_measure_error_estimate_matches_a_twice_refined_mesh():
@@ -590,9 +602,8 @@ def _owned_field():
 def _owned_objective_eval():
     grad = np.ones(4)
     mu = SurfaceMeasure(AXIS_NORMALS, np.ones(4))
-    p = build_polytope(SupportSpec(AXIS_NORMALS, np.ones(4)))
-    return ObjectiveEval(1.0, grad, 1.0, mu, p, 4.0, 0.0, 0.0, triangulate(p, 0.5), 1,
-                         None), [grad]
+    h = SupportSpec(AXIS_NORMALS, np.ones(4))
+    return ObjectiveEval(1.0, grad, 1.0, mu, h, 4.0, 0.0, 0.0, _owned_field()[0], None), [grad]
 
 
 def _owned(build, *arrays):

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from torsion_minkowski import (
+    InvariantViolation,
     LinearSolveFailure,
     MaximumPrincipleViolation,
     check_sqrt_concavity,
@@ -274,7 +275,8 @@ def nested_meshes():
 
 def test_nested_solve_matches_the_plain_refined_solve(nested_meshes):
     for mesh in nested_meshes:
-        coarse, fine = torsion_fem.solve_nested(mesh)
+        coarse = solve_torsion(mesh)
+        fine = torsion_fem.solve_refined(coarse)
         plain = solve_torsion(refine(mesh))
         assert abs(fine.tau_energy - plain.tau_energy) <= 1e-10 * plain.tau_energy
         assert np.abs(fine.u - plain.u).max() <= 1e-8 * plain.u.max()
@@ -307,7 +309,8 @@ def test_refined_cg_starts_from_the_interpolated_coarse_solution(square, monkeyp
 
     monkeypatch.setattr(torsion_fem, "_pcg", spy)
     mesh = triangulate(square, 0.1)
-    coarse, fine = torsion_fem.solve_nested(mesh)
+    coarse = solve_torsion(mesh)
+    fine = torsion_fem.solve_refined(coarse)
     assert len(starts) == 2 and starts[0] is None
     start = np.zeros(fine.mesh.n_nodes)
     start[~fine.mesh.is_boundary] = starts[1]
@@ -321,13 +324,21 @@ def test_refined_cg_starts_from_the_interpolated_coarse_solution(square, monkeyp
     assert iterations == 0 and np.array_equal(x, exact)
 
 
+def test_a_refined_field_cannot_be_refined_again(square):
+    # only a solve_torsion field keeps the hierarchy solve_refined reuses
+    fine = torsion_fem.solve_refined(solve_torsion(triangulate(square, 0.2)))
+    assert fine._multigrid is None
+    with pytest.raises(InvariantViolation, match="refined field"):
+        torsion_fem.solve_refined(fine)
+
+
 @pytest.mark.parametrize("side", [0.2, 0.1])
 def test_nested_solve_hits_its_iteration_cap(square, monkeypatch, side):
     # at 0.2 the coarse system is solved exactly in one iteration, so the
     # refined solve is the one that hits the cap
     monkeypatch.setattr(torsion_fem, "MAX_CG_ITERS", 1)
     with pytest.raises(LinearSolveFailure, match="cap"):
-        torsion_fem.solve_nested(triangulate(square, side))
+        torsion_fem.solve_refined(solve_torsion(triangulate(square, side)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -345,7 +356,7 @@ def test_non_finite_load_raises(square, monkeypatch, bad, call):
 
     monkeypatch.setattr(torsion_fem, "assemble", spoiled)
     with pytest.raises(LinearSolveFailure, match="not finite"):
-        torsion_fem.solve_nested(triangulate(square, 0.1))
+        torsion_fem.solve_refined(solve_torsion(triangulate(square, 0.1)))
     if call == 0:
         calls.clear()
         with pytest.raises(LinearSolveFailure, match="not finite"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from torsion_minkowski import (
     scale,
     translate,
 )
+from torsion_minkowski import verify_suite
 from conftest import axis_support_spec
 
 
@@ -102,6 +105,25 @@ def test_homogeneity_identity_scale(square):
 def test_homogeneity_square_and_hexagon(square, hexagon):
     assert homogeneity_check(square, [2.0]).ok
     assert homogeneity_check(hexagon, [0.5]).ok
+
+
+@pytest.mark.parametrize("name, factor", [("tau_energy", 1.0 + 1e-9),
+                                          ("reaction", 1.0 + 0.5e-9)])
+def test_homogeneity_check_catches_a_1e_9_defect(square, monkeypatch, name, factor):
+    # scaling the dilated body's rigidity by 1 + 1e-9, or its reaction (so
+    # its measure, quadratic in the reaction) by 1 + 0.5e-9, is a defect of
+    # 1e-9 in one ratio: above the roundoff budget
+    solve, calls = verify_suite.solve_on_polygon, []
+
+    def spoiled(p, target_h):
+        f = solve(p, target_h)
+        calls.append(p)
+        return f if len(calls) == 1 else dataclasses.replace(f, **{name: getattr(f, name) * factor})
+
+    monkeypatch.setattr(verify_suite, "solve_on_polygon", spoiled)
+    rep = homogeneity_check(square, [2.0])
+    assert len(calls) == 2 and rep.failures == 1 and not rep.ok
+    assert rep.worst_margin == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_corpus_generator_deterministic():
