@@ -172,11 +172,13 @@ def _solve_input_polygon(args: dict):
 
 def _solve_diagnostics(field) -> dict:
     """What the torsion solve did: the mesh's angle extremes, the CG
-    iteration count and the multigrid levels and operator complexity."""
+    iteration count and error estimate, and the multigrid levels and
+    operator complexity."""
     quality = check_mesh(field.mesh)
     return {"min_angle_deg": quality.min_angle_deg,
             "max_angle_deg": quality.max_angle_deg,
             "cg_iterations": field.cg_iterations,
+            "cg_error_estimate": field.cg_error_estimate,
             "levels": field.levels,
             "operator_complexity": field.operator_complexity}
 
@@ -269,6 +271,7 @@ def _cmd_hadamard(args: dict) -> int:
         "extrapolated_mismatch": rep.extrapolated_mismatch,
         "monotone_tail": rep.monotone_tail,
         "cg_iterations": list(rep.cg_iterations),
+        "cg_error_estimate": list(rep.cg_error_estimate),
     }, args.get("output_path"))
     return EXIT_OK
 

@@ -437,11 +437,17 @@ def _edge_key(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
 
 def _edge_table(triangles: np.ndarray, n: int):
     """``(edges, triangle_edges)`` of an n-node mesh with these triangles
-    (see ``TriMesh``)."""
-    keys = _edge_key(np.roll(triangles, -1, axis=1), np.roll(triangles, -2, axis=1), n)
-    # ravelled: the shape of the inverse of an n-d input differs across numpy 2.x
-    edges, inverse = np.unique(keys.ravel(), return_inverse=True)
-    return edges, inverse.reshape(triangles.shape)
+    (see ``TriMesh``): each run of equal keys in the sorted edge keys of
+    the triangles is one edge."""
+    keys = _edge_key(np.roll(triangles, -1, axis=1), np.roll(triangles, -2, axis=1), n).ravel()
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.empty(len(keys), dtype=bool)  # where each run of equal keys starts
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse.reshape(triangles.shape)
 
 
 def _assert_conforming(mesh: TriMesh) -> None:

@@ -313,6 +313,29 @@ def test_hadamard_command(tmp_path):
     assert all(isinstance(k, int) and 1 <= k <= 25 for k in iterations)
 
 
+def test_reports_carry_the_cg_error_estimate(unit_square_file, tmp_path):
+    # beside cg_iterations: one value per solve, within the CG stop's budget
+    estimates = []
+    for command in ("torsion", "measure"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--input", unit_square_file, "--mesh-h", "0.03",
+                     "--output", str(out)]) == 0
+        estimates.append(json.loads(out.read_text())["diagnostics"]["cg_error_estimate"])
+    body = parse_spec(unit_square_file)
+    field = solve_on_polygon(body, 0.03 * metrics(body).circumradius)
+    assert estimates == [field.cg_error_estimate] * 2
+    pair = tmp_path / "pair.json"
+    square = {"vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}
+    pair.write_text(json.dumps({"body": square, "body_prime": square, "s_values": [0.01]}))
+    out = tmp_path / "had.json"
+    assert main(["hadamard", "--input", str(pair), "--mesh-h", "0.04",
+                 "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert len(payload["cg_error_estimate"]) == len(payload["cg_iterations"]) == 2
+    estimates += payload["cg_error_estimate"]
+    assert all(0.0 <= e <= torsion_fem.ENERGY_BUDGET for e in estimates)
+
+
 def test_verify_command_smoke(tmp_path):
     out = tmp_path / "checks.json"
     log = tmp_path / "summary.csv"

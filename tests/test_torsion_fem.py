@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -10,6 +11,7 @@ from torsion_minkowski import (
     LinearSolveFailure,
     MaximumPrincipleViolation,
     check_sqrt_concavity,
+    facet_measure,
     metrics,
     minkowski_sum,
     refine,
@@ -197,8 +199,74 @@ def test_cg_iterations_stay_flat_under_refinement():
         K, b = torsion_fem.assemble(mesh)
         idx = np.flatnonzero(~mesh.is_boundary)
         assert len(idx) > torsion_fem.COARSE_SIZE
-        direct = spsolve(K[idx][:, idx].tocsc(), b[idx])
-        assert np.abs(f.u[idx] - direct).max() <= 1e-9 * np.abs(direct).max()
+        Kii = K[idx][:, idx]
+        direct = spsolve(Kii.tocsc(), b[idx])
+        # the CG stop's contract: the squared energy error within the budget
+        e = f.u[idx] - direct
+        assert e @ (Kii @ e) <= torsion_fem.ENERGY_BUDGET * (direct @ b[idx])
+
+
+def _aggregates_per_level(mesh, monkeypatch):
+    # every level's aggregates, as _hierarchy computes them for the mesh
+    aggregates, found = torsion_fem._aggregates, []
+
+    def spy(xy, side):
+        found.append(aggregates(xy, side))
+        return found[-1]
+
+    monkeypatch.setattr(torsion_fem, "_aggregates", spy)
+    _, _, idx, Kii = torsion_fem._system(mesh)
+    torsion_fem._hierarchy(Kii, mesh.nodes[idx], mesh.target_h)
+    monkeypatch.undo()
+    return found
+
+
+def test_aggregates_commute_with_translation_and_dilation(monkeypatch):
+    # the far translations of test_meshing_commutes_with_far_translation and
+    # the dilations of the node and homogeneity tests, on every level; a
+    # refined mesh adds the edge midpoints
+    for p in polygon_corpus(seed=42, count=8):
+        R = metrics(p).circumradius
+        base = triangulate(p, 0.02 * R)
+        expected = [_aggregates_per_level(m, monkeypatch) for m in (base, refine(base))]
+        assert all(len(levels) >= 2 for levels in expected)  # coarser levels are covered
+        moved = [translate(p, distance * R * np.array(direction))
+                 for distance in (1e3, 1e4)
+                 for direction in ([1.0, 0.0], [0.6, 0.8], [-0.8, 0.6])]
+        moved += [scale(p, s) for s in (0.01, 0.5, 1.7, 2.0, 3.0, 100.0, 1e6)]
+        for q in moved:
+            mesh = triangulate(q, 0.02 * metrics(q).circumradius)
+            assert np.array_equal(mesh.edges, base.edges)  # the same numbering of nodes and midpoints
+            for m, levels in zip((mesh, refine(mesh)), expected):
+                found = _aggregates_per_level(m, monkeypatch)
+                assert len(found) == len(levels)
+                for agg, agg_base in zip(found, levels):
+                    assert np.array_equal(agg, agg_base)
+
+
+def _direct_field(f):
+    # f with the interior system solved by sparse LU instead of CG
+    K, b, idx, Kii = torsion_fem._system(f.mesh)
+    u = np.zeros(f.mesh.n_nodes)
+    u[idx] = spsolve(Kii.tocsc(), b[idx])
+    return dataclasses.replace(f, u=u, reaction=K @ u - b, tau_energy=float(u @ b))
+
+
+def test_solver_contract_against_a_direct_solve():
+    # the early CG stop moves the rigidity by at most 1e-10 and the facet
+    # measure by at most 1e-6 of a direct solve, on plain, refined and
+    # nested solves
+    for p in polygon_corpus(seed=42, count=8):
+        R = metrics(p).circumradius
+        for rel in (0.04, 0.02):
+            mesh = triangulate(p, rel * R)
+            coarse = solve_torsion(mesh)
+            for f in (coarse, solve_torsion(refine(mesh)), torsion_fem.solve_refined(coarse)):
+                ref = _direct_field(f)
+                assert abs(f.tau_energy - ref.tau_energy) <= 1e-10 * ref.tau_energy
+                w, w_ref = facet_measure(f).weights, facet_measure(ref).weights
+                assert np.abs(w - w_ref).max() <= 1e-6 * w_ref.max()
+                assert f.cg_error_estimate <= torsion_fem.ENERGY_BUDGET
 
 
 def test_preconditioner_leaks_no_reference_cycle(unit_square):

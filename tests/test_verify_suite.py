@@ -107,6 +107,14 @@ def test_homogeneity_square_and_hexagon(square, hexagon):
     assert homogeneity_check(hexagon, [0.5]).ok
 
 
+def test_homogeneity_holds_to_roundoff_on_the_pinned_corpus():
+    # the CG stop is a ratio without units and the aggregation cells are
+    # tie-free, so the early stop leaves the dilated solves' iterates dilated
+    for p in polygon_corpus(42, 50):
+        rep = homogeneity_check(p, [2.0, 0.5, 1.7, 3.0])
+        assert rep.ok and rep.worst_margin <= verify_suite.HOMOGENEITY_TOL, rep.details
+
+
 @pytest.mark.parametrize("name, factor", [("tau_energy", 1.0 + 1e-9),
                                           ("reaction", 1.0 + 0.5e-9)])
 def test_homogeneity_check_catches_a_1e_9_defect(square, monkeypatch, name, factor):
